@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the transmission formula against the LP oracle on growing graphs.
 
-The formula pipeline is a batch of BFS sweeps; the LP pipeline solves one
+The formula pipeline is one all-sources BFS; the LP pipeline solves one
 minimax program per vertex. Both values must agree to 1e-6 wherever both
 run. Example:
 

@@ -24,9 +24,9 @@ from .errors import (
 #: (negative) so it can never be mistaken for a hop count.
 UNREACHABLE = -1
 
-# Above this edge count the frontier-expansion BFS (vectorised, higher
-# per-level constant) beats the deque BFS (lower constant, per-edge Python).
-_VECTOR_BFS_MIN_EDGES = 1000
+#: Byte budget for one level's (2m, B) uint64 gather in the all-sources BFS;
+#: sets the source block width B and so caps the kernel's working set.
+_GATHER_BYTES = 32 << 20
 
 
 class Graph:
@@ -116,7 +116,8 @@ def from_edge_list(n, pairs):
     return Graph(n, indptr, indices, edges)
 
 
-def _bfs_deque_raw(g, source):
+def _bfs(g, source):
+    # plain single-source deque BFS over native int adjacency lists
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
     adj = g._adj
@@ -130,42 +131,41 @@ def _bfs_deque_raw(g, source):
             if dist[w] < 0:
                 dist[w] = dv1
                 push(w)
-    return dist
+    return np.array(dist, dtype=np.int64)
 
 
-def _bfs_deque(g, source):
-    return np.array(_bfs_deque_raw(g, source), dtype=np.int64)
+def _all_sources_levels(g):
+    """Bit-parallel BFS from every source at once (multi-source BFS).
 
-
-def _bfs_frontier(g, source):
-    # level-synchronous expansion; all per-level work is vectorised
-    indptr, indices = g._indptr, g._indices
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather indices[starts[i]:starts[i]+counts[i]] for all i in one shot
-        offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        nbrs = indices[offsets + np.arange(total)]
-        fresh = nbrs[dist[nbrs] < 0]
-        if fresh.size == 0:
-            break
-        dist[fresh] = level
-        frontier = np.unique(fresh)
-    return dist
-
-
-def _bfs(g, source):
-    if g.m >= _VECTOR_BFS_MIN_EDGES:
-        return _bfs_frontier(g, source)
-    return _bfs_deque(g, source)
+    Sources are packed one bit each into uint64 words, and a block of B
+    words advances level-synchronously: per level every vertex ORs the
+    frontier words of its neighbours and keeps the bits not yet seen. Yields
+    (first_source, level, nxt) for levels >= 1, where bit j of word w in
+    nxt[v] is set iff dist(v, first_source + 64*w + j) == level; distances
+    are symmetric, so row v lists the block's sources at that distance.
+    B keeps the (2m, B) gather within _GATHER_BYTES. reduceat needs degree
+    >= 1 everywhere, so callers pass connected graphs; n = 1 yields nothing.
+    """
+    n, indptr, indices = g.n, g._indptr, g._indices
+    if n < 2:
+        return
+    words = -(-n // 64)
+    block = max(1, min(words, _GATHER_BYTES // (8 * len(indices))))
+    for w0 in range(0, words, block):
+        width = min(block, words - w0)
+        first = 64 * w0
+        src = np.arange(min(n - first, 64 * width), dtype=np.uint64)
+        frontier = np.zeros((n, width), dtype=np.uint64)
+        frontier[first + src, src >> 6] = np.uint64(1) << (src & 63)
+        unseen = ~frontier
+        for level in range(1, n):  # no distance reaches n
+            nxt = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+            nxt &= unseen
+            if not nxt.any():
+                break
+            unseen ^= nxt
+            yield first, level, nxt
+            frontier = nxt
 
 
 @dataclass(frozen=True)
@@ -226,20 +226,18 @@ def _table_from_transmissions(tr):
 
 
 def transmission_table(g):
-    """All vertex transmissions via n independent BFS sweeps.
+    """All vertex transmissions from one bit-parallel all-sources BFS.
 
-    Each sweep is a read-only job writing its own slot, so the loop is
-    embarrassingly parallel; it runs sequentially here.
+    Each level adds level * popcount(nxt[v]) to tr[v]. Working memory is one
+    level's (2m, B) uint64 gather, which the block width B keeps within
+    _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus a few
+    (n, B) uint64 arrays, each no larger than the gather since n <= 2m.
     """
     if not is_connected(g):
         raise DisconnectedGraph("transmissions are defined for connected graphs only")
-    tr = np.empty(g.n, dtype=np.int64)
-    if g.m >= _VECTOR_BFS_MIN_EDGES:
-        for u in range(g.n):
-            tr[u] = _bfs_frontier(g, u).sum()
-    else:
-        for u in range(g.n):
-            tr[u] = sum(_bfs_deque_raw(g, u))
+    tr = np.zeros(g.n, dtype=np.int64)
+    for _, level, nxt in _all_sources_levels(g):
+        tr += level * np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
     return _table_from_transmissions(tr)
 
 
@@ -258,7 +256,7 @@ def diameter(g):
     """Maximum eccentricity over all sources."""
     if not is_connected(g):
         raise DisconnectedGraph("diameter is defined for connected graphs only")
-    return max(int(_bfs(g, u).max()) for u in range(g.n))
+    return max((level for _, level, _ in _all_sources_levels(g)), default=0)
 
 
 def pendant_vertices(g):
@@ -321,7 +319,9 @@ def distance_matrix(g):
     """Dense n x n hop-count matrix; materialised only when asked for."""
     if not is_connected(g):
         raise DisconnectedGraph("distance matrix is defined for connected graphs only")
-    out = np.empty((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        out[u] = _bfs(g, u)
+    out = np.zeros((g.n, g.n), dtype=np.int64)
+    for first, level, nxt in _all_sources_levels(g):
+        bits = np.unpackbits(nxt.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             count=min(g.n - first, 64 * nxt.shape[1]), bitorder="little")
+        out[:, first:first + bits.shape[1]][bits.view(bool)] = level
     return out

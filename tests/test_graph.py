@@ -22,10 +22,10 @@ from gammaconn.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from gammaconn.graph import _bfs_deque, _bfs_frontier
-from gammaconn.random_graphs import gnp, random_tree
+from gammaconn import graph
+from gammaconn.random_graphs import gnm_connected, gnp, random_tree
 
-from conftest import family, naive_distances
+from conftest import INF, edge_list, family, naive_distances
 
 
 class TestFromEdgeList:
@@ -90,10 +90,16 @@ class TestBfs:
             assert got.tolist() == want
 
     def test_both_implementations_agree(self):
+        # the single-source BFS and, on connected draws, the all-sources
+        # kernel, each against the Floyd-Warshall oracle
         for seed in range(5):
             g = gnp(30, 0.15, seed=seed)
+            oracle = naive_distances(g.n, edge_list(g))
             for u in range(0, 30, 7):
-                assert np.array_equal(_bfs_deque(g, u), _bfs_frontier(g, u))
+                want = [d if d < INF else UNREACHABLE for d in oracle[u]]
+                assert bfs_distances(g, u).dist.tolist() == want
+            if is_connected(g):
+                assert distance_matrix(g).tolist() == oracle
 
 
 class TestConnectivity:
@@ -135,6 +141,37 @@ class TestTransmissionTable:
                 continue
             table = transmission_table(g)
             assert 2 * table.wiener == int(table.tr.sum())
+
+
+def assert_all_sources_match_oracle(g):
+    d = naive_distances(g.n, edge_list(g))
+    assert distance_matrix(g).tolist() == d
+    assert transmission_table(g).tr.tolist() == [sum(row) for row in d]
+    assert diameter(g) == max(map(max, d))
+
+
+class TestAllSourcesKernel:
+    """The bit-parallel kernel's three callers against Floyd-Warshall."""
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+    def test_word_boundaries(self, n):
+        assert_all_sources_match_oracle(gnm_connected(n, min(2 * n, n * (n - 1) // 2), seed=n))
+
+    def test_tree_and_path(self):
+        assert_all_sources_match_oracle(random_tree(90, seed=3))
+        assert_all_sources_match_oracle(family("path", 70))
+
+    def test_single_vertex(self):
+        g = from_edge_list(1, [])
+        assert transmission_table(g).tr.tolist() == [0]
+        assert distance_matrix(g).tolist() == [[0]]
+        assert diameter(g) == 0
+
+    @pytest.mark.parametrize("words_per_block", [1, 2])
+    def test_several_source_blocks(self, monkeypatch, words_per_block):
+        g = gnm_connected(150, 300, seed=11)  # 3 words of sources
+        monkeypatch.setattr(graph, "_GATHER_BYTES", words_per_block * 8 * 2 * g.m)
+        assert_all_sources_match_oracle(g)
 
 
 class TestShells:

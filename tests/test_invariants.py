@@ -114,6 +114,16 @@ class TestGammaObjective:
         with pytest.raises(InfeasibleVector):
             gamma_objective(family("path", 3), [0.5, 0.0, -0.5])
 
+    def test_exact_input_checked_exactly(self):
+        p2 = family("path", 2)
+        eps = Fraction(1, 10 ** 12)
+        with pytest.raises(InfeasibleVector):
+            gamma_objective(p2, [1, -1 + eps])
+        with pytest.raises(InfeasibleVector):
+            gamma_objective(p2, [1 + eps, -1 - eps])
+        # float input keeps the documented 1e-9 tolerance
+        assert gamma_objective(p2, [1.0, -1.0 + 1e-12]) == pytest.approx(2.0)
+
     def test_length_mismatch(self):
         with pytest.raises(InfeasibleVector):
             gamma_objective(family("path", 3), [1.0, -1.0])

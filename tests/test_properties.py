@@ -20,9 +20,9 @@ from gammaconn import (
     transmission_table,
     tree_transmissions,
 )
-from gammaconn.graph import _bfs_deque, _bfs_frontier
+from gammaconn.graph import UNREACHABLE
 
-from conftest import edge_list, naive_gamma
+from conftest import INF, edge_list, naive_distances, naive_gamma
 
 
 @st.composite
@@ -116,8 +116,12 @@ def test_bfs_edge_distance_lipschitz(g):
 
 @given(graphs(min_n=1))
 def test_bfs_implementations_agree(g):
+    oracle = naive_distances(g.n, edge_list(g))
     for source in range(g.n):
-        assert np.array_equal(_bfs_deque(g, source), _bfs_frontier(g, source))
+        want = [d if d < INF else UNREACHABLE for d in oracle[source]]
+        assert bfs_distances(g, source).dist.tolist() == want
+    if is_connected(g):
+        assert distance_matrix(g).tolist() == oracle
 
 
 @given(graphs(connected=True))
