@@ -29,6 +29,8 @@ _DEFAULT_B_CAP = 12
 _DEFAULT_BENCH_LP_CAP = 60
 
 _BENCH_FAMILIES = ("path", "cycle", "complete", "star", "hypercube")
+_TRANSMISSION_KEYS = ("wiener", "max_transmission", "transmission_argmax", "transmission_regular")
+_SPECTRAL_KEYS = ("distance_spectral_radius", "algebraic_connectivity", "normalized_laplacian_mu")
 
 
 def _size_cap(default):
@@ -101,17 +103,10 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         inv["transmission_argmax"] = list(table.argmax)
         inv["transmission_regular"] = bool((table.tr == table.tr[0]).all())
     else:
-        reason = "graph is disconnected"
-        inv["wiener"] = _skipped(reason)
-        inv["max_transmission"] = _skipped(reason)
-        inv["transmission_argmax"] = _skipped(reason)
-        inv["transmission_regular"] = _skipped(reason)
+        inv.update((key, _skipped("graph is disconnected")) for key in _TRANSMISSION_KEYS)
 
     if not with_spectral:
-        reason = "not requested (pass --spectral)"
-        inv["distance_spectral_radius"] = _skipped(reason)
-        inv["algebraic_connectivity"] = _skipped(reason)
-        inv["normalized_laplacian_mu"] = _skipped(reason)
+        inv.update((key, _skipped("not requested (pass --spectral)")) for key in _SPECTRAL_KEYS)
     elif not connected:
         reason = "graph is disconnected"
         inv["distance_spectral_radius"] = _skipped(reason)
@@ -182,9 +177,9 @@ def render_text(doc):
     out.append(f"attaining vertex: {doc['attaining_vertex']}")
     out.append(f"witness valid: {doc['witness']['valid']}")
     inv = doc["invariants"]
-    for key in ("wiener", "max_transmission", "transmission_argmax", "transmission_regular"):
+    for key in _TRANSMISSION_KEYS:
         _render_block(key, inv[key], out)
-    for key in ("distance_spectral_radius", "algebraic_connectivity", "normalized_laplacian_mu"):
+    for key in _SPECTRAL_KEYS:
         if isinstance(inv[key], dict) and "skipped" in inv[key]:
             _render_block(key, inv[key], out)
         else:
@@ -346,8 +341,6 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="solver tolerance where applicable (default 1e-9)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for random corpora (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="invariant and certificate of one graph")

@@ -3,6 +3,10 @@
 The Graph object is immutable after construction and safe to share across
 concurrent readers; every routine here is a pure function of the graph.
 Distances are exact hop counts, transmissions exact integers.
+
+Costly analyses are memoised per Graph (_cached); the memo keeps sharing
+safe, as cached values are immutable (frozen dataclasses, tuples, read-only
+arrays) and readers racing on a missing key all get the first value stored.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class Graph:
     (u, v) edge array with u < v. No mutation after construction.
     """
 
-    __slots__ = ("n", "m", "_indptr", "_indices", "_adj", "_edges")
+    __slots__ = ("n", "m", "_indptr", "_indices", "_adj", "_edges", "_memo")
 
     def __init__(self, n, indptr, indices, edges):
         self.n = n
@@ -47,6 +51,7 @@ class Graph:
         # numpy slices
         self._adj = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)]
         self._edges = edges
+        self._memo = {}
 
     @property
     def adjacency(self):
@@ -114,6 +119,14 @@ def from_edge_list(n, pairs):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, indptr, indices, edges)
+
+
+def _cached(g, key, compute):
+    """g's memoised result for key, from compute() on first use; errors are not cached.
+
+    Checks of call arguments (size caps) go before the call, outside the key.
+    """
+    return g._memo[key] if key in g._memo else g._memo.setdefault(key, compute())
 
 
 def _bfs(g, source):
@@ -210,7 +223,7 @@ def components(g):
 
 @dataclass(frozen=True)
 class TransmissionTable:
-    """Per-vertex transmissions with their maximum, argmax set, and Wiener index."""
+    """Per-vertex transmissions (read-only) with their maximum, argmax set, and Wiener index."""
 
     tr: np.ndarray
     d_max: int
@@ -219,6 +232,7 @@ class TransmissionTable:
 
 
 def _table_from_transmissions(tr):
+    tr.flags.writeable = False
     d_max = int(tr.max())
     argmax = tuple(int(v) for v in np.flatnonzero(tr == d_max))
     total = int(tr.sum())
@@ -232,7 +246,12 @@ def transmission_table(g):
     level's (2m, B) uint64 gather, which the block width B keeps within
     _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus a few
     (n, B) uint64 arrays, each no larger than the gather since n <= 2m.
+    Memoised per graph.
     """
+    return _cached(g, "transmission_table", lambda: _transmission_table(g))
+
+
+def _transmission_table(g):
     if not is_connected(g):
         raise DisconnectedGraph("transmissions are defined for connected graphs only")
     tr = np.zeros(g.n, dtype=np.int64)

@@ -27,6 +27,7 @@ from .errors import (
 from .graph import (
     Graph,
     _bfs,
+    _cached,
     components,
     distance_matrix,
     is_connected,
@@ -80,8 +81,12 @@ def gamma(g: Graph) -> GammaCertificate:
     Connected graphs: n over the maximum transmission, witness 1 - r*gamma
     on the distance-r shell of the smallest maximum-transmission vertex.
     Disconnected graphs: 0, witness constant 1 on a smallest component and
-    a balancing negative constant elsewhere.
+    a balancing negative constant elsewhere. Memoised per graph.
     """
+    return _cached(g, "gamma", lambda: _gamma(g))
+
+
+def _gamma(g):
     if g.n < 2:
         raise TooSmall("no zero-sum vector of sup-norm 1 exists on fewer than 2 vertices")
     if not is_connected(g):
@@ -181,15 +186,16 @@ def normalized_laplacian_matrix(g):
     return laplacian_matrix(g) * scale[:, None] * scale[None, :]
 
 
-def distance_matrix_float(g):
-    return distance_matrix(g).astype(float)
-
-
 # ---------------------------------------------------------------------------
 # spectral estimates
 
 @dataclass(frozen=True)
 class SpectralEstimate:
+    """An eigenvalue, its residual ||A v - value v|| and whether that is within tol.
+
+    iterations: power iterations, or 1 (one LAPACK call) for Laplacian pairs.
+    """
+
     value: float
     residual: float
     iterations: int
@@ -203,13 +209,19 @@ def distance_spectral_radius(g: Graph, tol: float = 1e-10,
     The +1 shift makes the iteration matrix entrywise positive, so the
     dominant eigenvalue is simple and the all-ones start vector cannot be
     orthogonal to its eigenvector. The shift is subtracted at the end and
-    the residual is reported against D itself.
+    the residual is reported against D itself. Memoised per (graph, tol,
+    max_iter).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not is_connected(g):
         raise DisconnectedGraph("the distance matrix needs a connected graph")
-    d = distance_matrix_float(g)
+    return _cached(g, ("distance_spectral_radius", tol, max_iter),
+                   lambda: _power_iteration(g, tol, max_iter))
+
+
+def _power_iteration(g, tol, max_iter):
+    d = distance_matrix(g).astype(float)
     np.fill_diagonal(d, 1.0)  # D + I
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
     prev = None
@@ -224,77 +236,33 @@ def distance_spectral_radius(g: Graph, tol: float = 1e-10,
     raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
 
 
-def _jacobi_eigh(a, max_sweeps=100, rel_off=1e-12):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, orthonormal eigenvector columns, sweeps used).
-    Convergence: off-diagonal Frobenius norm <= rel_off * diagonal norm.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v, 0
-    for sweep in range(max_sweeps + 1):
-        # sum the strictly off-diagonal squares directly; subtracting the
-        # diagonal mass from the total cancels catastrophically near zero
-        stripped = a - np.diag(a.diagonal())
-        off = float(np.linalg.norm(stripped))
-        if off <= rel_off * float(np.linalg.norm(a.diagonal())):
-            return a.diagonal().copy(), v, sweep
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                # stable tangent of the annihilating rotation (no huge ratios)
-                h = 0.5 * (float(a[q, q]) - float(a[p, p]))
-                t = (math.copysign(1.0, h) * math.copysign(1.0, apq) * abs(apq)
-                     / (abs(h) + math.hypot(h, apq)))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise NoConvergence(f"Jacobi sweeps exceeded {max_sweeps}")
-
-
 def _second_smallest_eigenpair(matrix, tol):
-    vals, vecs, sweeps = _jacobi_eigh(matrix)
-    order = np.argsort(vals)
-    idx = order[1]
-    lam = float(vals[idx])
-    vec = vecs[:, idx]
+    """Second smallest eigenpair of a symmetric matrix from one LAPACK eigh call."""
+    try:
+        vals, vecs = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh did not converge: {exc}") from None
+    lam, vec = float(vals[1]), vecs[:, 1]  # eigh sorts eigenvalues ascending
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
-    return SpectralEstimate(lam, residual, sweeps, residual <= tol)
+    return SpectralEstimate(lam, residual, 1, residual <= tol)
 
 
 def algebraic_connectivity(g: Graph, tol: float = 1e-10) -> SpectralEstimate:
-    """Second smallest Laplacian eigenvalue via a full Jacobi eigendecomposition."""
+    """Second smallest Laplacian eigenvalue (LAPACK eigh); memoised per (graph, tol)."""
     if g.n < 2:
         raise TooSmall("a second eigenvalue needs at least 2 vertices")
-    return _second_smallest_eigenpair(laplacian_matrix(g), tol)
+    return _cached(g, ("algebraic_connectivity", tol),
+                   lambda: _second_smallest_eigenpair(laplacian_matrix(g), tol))
 
 
 def normalized_laplacian_mu(g: Graph, tol: float = 1e-10) -> SpectralEstimate:
-    """Second smallest eigenvalue of the degree-normalized Laplacian."""
+    """Second smallest normalized-Laplacian eigenvalue; memoised per (graph, tol)."""
     if g.n < 2:
         raise TooSmall("a second eigenvalue needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraph("normalized Laplacian spectrum needs a connected graph")
-    return _second_smallest_eigenpair(normalized_laplacian_matrix(g), tol)
+    return _cached(g, ("normalized_laplacian_mu", tol),
+                   lambda: _second_smallest_eigenpair(normalized_laplacian_matrix(g), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +272,9 @@ def cheeger_constant(g: Graph, max_n: int = 24):
     """Exact edge-expansion constant by enumerating all vertex subsets.
 
     Vertex 0 is pinned into S, which covers every bipartition once. Returns
-    (value, minimizing subset). The subset count doubles per vertex, hence
-    the hard size cap.
+    the float quotient of exact integers boundary / min(vol S, 2m - vol S)
+    and the first minimising S in ascending bitmask order. The subset count
+    doubles per vertex, hence the hard size cap. Memoised per graph.
     """
     if g.n > max_n or g.n > 48:  # 48: bitmask width guard, far beyond reachable cost
         raise TooLarge(f"exact expansion enumeration capped at n <= {min(max_n, 48)}")
@@ -313,37 +282,58 @@ def cheeger_constant(g: Graph, max_n: int = 24):
         raise TooSmall("expansion needs a proper non-empty subset")
     if not is_connected(g):
         raise DisconnectedGraph("expansion of a disconnected graph is 0/trivial; not supported")
-    n = g.n
-    deg = g.degrees().astype(np.uint64)
-    neighbor_bits = np.zeros(n, dtype=np.uint64)
-    for u, v in g.edges:
-        neighbor_bits[u] |= np.uint64(1 << v)
-        neighbor_bits[v] |= np.uint64(1 << u)
-    vol_total = 2 * g.m
-    full = np.uint64((1 << n) - 1)
-    best = math.inf
-    best_mask = None
-    chunk = 1 << 20
-    for start in range(0, 1 << (n - 1), chunk):
-        stop = min(start + chunk, 1 << (n - 1))
-        masks = (np.arange(start, stop, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
-        vol = np.zeros(masks.shape, dtype=np.uint64)
-        inside_twice = np.zeros(masks.shape, dtype=np.uint64)
-        for vtx in range(n):
-            in_s = (masks >> np.uint64(vtx)) & np.uint64(1)
-            vol += deg[vtx] * in_s
-            inside_twice += in_s * np.bitwise_count(masks & neighbor_bits[vtx]).astype(np.uint64)
-        boundary = vol - inside_twice
-        denom = np.minimum(vol, vol_total - vol).astype(float)
-        denom[masks == full] = math.inf
-        ratios = boundary / denom
-        ratios[masks == full] = math.inf  # S = V is not a proper subset
+    value, subset = _cached(g, "cheeger_constant", lambda: _exact_cheeger(g))
+    return value, list(subset)
+
+
+def _subset_tables(deg, nbr):
+    """Volume and internal-edge count of every vertex subset, indexed by bitmask.
+
+    Vertex k doubles both tables: it adds deg[k] and popcount(nbr[k] & mask).
+    """
+    vol = np.zeros(1 << len(deg), dtype=np.int64)
+    inner = np.zeros(1 << len(deg), dtype=np.int64)
+    for k in range(len(deg)):
+        vol[1 << k:2 << k] = vol[:1 << k] + deg[k]
+        inner[1 << k:2 << k] = inner[:1 << k] + np.bitwise_count(np.arange(1 << k) & nbr[k])
+    return vol, inner
+
+
+def _exact_cheeger(g):
+    """Meet in the middle: S is a low-half mask a (with vertex 0) plus a high mask b.
+
+    Internal edges are e_A[a] + e_B[b] + cross(b, a). Per block of <= 2^20 masks
+    (one b past n = 42), cross doubles over the low vertices' neighbours in b.
+    """
+    n, h = g.n, (g.n + 1) // 2
+    nbr = np.zeros(n, dtype=np.int64)  # neighbour bitmask per vertex
+    np.bitwise_or.at(nbr, g.edges[:, 0], 1 << g.edges[:, 1])
+    np.bitwise_or.at(nbr, g.edges[:, 1], 1 << g.edges[:, 0])
+    deg = g.degrees()
+    vol_a, in_a = (t[1::2] for t in _subset_tables(deg[:h], nbr[:h] & ((1 << h) - 1)))
+    vol_b, in_b = _subset_tables(deg[h:], nbr[h:] >> h)
+    to_high = nbr[:h] >> h
+    rows = max(1, (1 << 20) // len(vol_a))
+    best, best_mask = math.inf, 0
+    for b0 in range(0, len(vol_b), rows):
+        b = np.arange(b0, min(b0 + rows, len(vol_b)))
+        cross = np.bitwise_count(b[:, None] & to_high)
+        inside = np.empty((len(b), len(vol_a)), dtype=np.int64)
+        inside[:, 0] = cross[:, 0]
+        for k in range(1, h):
+            np.add(inside[:, :1 << k - 1], cross[:, k, None], out=inside[:, 1 << k - 1:1 << k])
+        inside += in_a + in_b[b, None]
+        vol = vol_a + vol_b[b, None]
+        denom = np.minimum(vol, 2 * g.m - vol)
+        # denom is 0 only at S = V, which is not a proper subset
+        ratios = np.divide(vol - 2 * inside, denom, out=np.full(denom.shape, math.inf),
+                           where=denom > 0)
         i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            best_mask = int(masks[i])
-    subset = [vtx for vtx in range(n) if best_mask >> vtx & 1]
-    return best, subset
+        if ratios.flat[i] < best:
+            best = float(ratios.flat[i])
+            row, col = divmod(i, len(vol_a))
+            best_mask = (2 * col + 1) | int(b[row]) << h
+    return best, tuple(v for v in range(n) if best_mask >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +470,15 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
     except NoConvergence as exc:
         entries.append(_skipped_entry("laplacian_gap_upper", "<", str(exc)))
 
-    # for regular graphs: expansion vs sqrt(n-1) * invariant (strict)
-    cheeger_val = None
+    # for regular graphs: expansion vs sqrt(n-1) * invariant (strict); the
+    # one exact expansion also serves the two-sided comparison below
+    cheeger_val = cheeger_constant(g, max_n=cheeger_max_n)[0] if n <= cheeger_max_n else None
     if not regular:
         entries.append(_skipped_entry("expansion_upper", "<", "graph is not regular"))
     elif n > cheeger_max_n:
         entries.append(_skipped_entry(
             "expansion_upper", "<", f"exact expansion capped at n <= {cheeger_max_n}"))
     else:
-        cheeger_val, _ = cheeger_constant(g, max_n=cheeger_max_n)
         entries.append(_float_entry(
             "expansion_upper", cheeger_val, math.sqrt(n - 1) * float(gam), True, None))
 
@@ -498,8 +488,6 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
         entries.append(_skipped_entry("expansion_vs_mu_upper", "<=", reason))
         entries.append(_skipped_entry("expansion_vs_mu_lower", "<", reason))
     else:
-        if cheeger_val is None:
-            cheeger_val, _ = cheeger_constant(g, max_n=cheeger_max_n)
         try:
             mu = normalized_laplacian_mu(g, tol)
             entries.append(_float_entry(

@@ -40,13 +40,17 @@ def naive_gamma(n, edges):
 
 
 def naive_cheeger(n, edges):
-    """Exact expansion by a plain subset loop with vertex 0 pinned."""
+    """Exact expansion by a plain subset loop with vertex 0 pinned.
+
+    Returns (value, subset): the first minimising subset in ascending order
+    of its bitmask over the vertices.
+    """
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     total = sum(deg)
-    best = None
+    best = best_side = None
     for mask in range(2 ** (n - 1)):
         side = {0} | {v for v in range(1, n) if mask >> (v - 1) & 1}
         if len(side) == n:
@@ -55,8 +59,8 @@ def naive_cheeger(n, edges):
         vol = sum(deg[v] for v in side)
         h = Fraction(cut, min(vol, total - vol))
         if best is None or h < best:
-            best = h
-    return best
+            best, best_side = h, sorted(side)
+    return best, best_side
 
 
 def edge_list(g):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from gammaconn import generate
+from gammaconn import generate, graph, invariants
 from gammaconn.cli import main
 from gammaconn.edgelist import (
     format_edge_list,
@@ -11,6 +12,7 @@ from gammaconn.edgelist import (
     write_edge_list,
 )
 from gammaconn.errors import EdgeListParseError
+from gammaconn.random_graphs import gnm_connected
 
 from conftest import family, small_family_corpus
 
@@ -184,6 +186,47 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "--json", "verify", str(path))
         assert code == 1
         assert json.loads(out)["bounds"]["all_hold"] is False
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestOncePerGraph:
+    """Each analysis runs once per CLI call, however many parts read it."""
+
+    def test_compute_runs_one_all_sources_bfs(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "g.txt"
+        write_edge_list(gnm_connected(70, 150, seed=3), path)
+        sweeps = counted(monkeypatch, graph, "_all_sources_levels")
+        code, _, _ = run_cli(capsys, "--json", "compute", str(path))
+        assert code == 0 and len(sweeps) == 1
+
+    def test_verify_runs_cheeger_and_each_eigh_once(self, tmp_path, capsys, monkeypatch):
+        g = family("cycle", 8)
+        path = tmp_path / "c8.txt"
+        write_edge_list(g, path)
+        sweeps = counted(monkeypatch, graph, "_all_sources_levels")
+        cheeger = counted(monkeypatch, invariants, "_exact_cheeger")
+        power = counted(monkeypatch, invariants, "_power_iteration")
+        eigh = counted(monkeypatch, np.linalg, "eigh")
+        code, out, _ = run_cli(capsys, "--json", "verify", str(path), "--spectral", "--cheeger")
+        assert code == 0 and json.loads(out)["bounds"]["all_hold"] is True
+        assert len(cheeger) == len(power) == 1
+        # one transmission table, plus the distance matrix of the power iteration
+        assert len(sweeps) == 2
+        assert len(eigh) == 2
+        assert np.array_equal(eigh[0][0], invariants.laplacian_matrix(g))
+        assert np.array_equal(eigh[1][0], invariants.normalized_laplacian_matrix(g))
 
 
 class TestGenerateAndProduct:

@@ -134,6 +134,12 @@ class TestTransmissionTable:
         with pytest.raises(DisconnectedGraph):
             transmission_table(two_k2)
 
+    def test_memoised_and_read_only(self, c6):
+        table = transmission_table(c6)
+        assert transmission_table(c6) is table
+        with pytest.raises(ValueError):
+            table.tr[0] = 0
+
     def test_wiener_identity(self):
         for seed in range(4):
             g = gnp(9, 0.5, seed=seed)

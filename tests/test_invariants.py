@@ -21,6 +21,7 @@ from gammaconn import (
 from gammaconn.errors import (
     DisconnectedGraph,
     InfeasibleVector,
+    NoConvergence,
     TooLarge,
     TooSmall,
 )
@@ -29,7 +30,7 @@ from gammaconn.invariants import (
     laplacian_matrix,
     normalized_laplacian_matrix,
 )
-from gammaconn.random_graphs import gnp, gnp_connected
+from gammaconn.random_graphs import gnp, gnp_connected, random_tree
 
 from conftest import edge_list, family, naive_cheeger, naive_gamma
 
@@ -203,6 +204,48 @@ class TestSpectral:
             oracle = float(np.sort(np.linalg.eigvalsh(normalized_laplacian_matrix(g)))[1])
             assert abs(normalized_laplacian_mu(g).value - oracle) <= 1e-8
 
+    # Closed-form spectra, an eigen oracle independent of LAPACK: the
+    # Laplacian multiset, and for the normalized Laplacian either the
+    # multiset or the degree r of a regular graph (spectrum = Laplacian / r).
+    CLOSED_FORM_SPECTRA = [
+        (("cycle", 3), [2 - 2 * math.cos(2 * math.pi * k / 3) for k in range(3)], 2),
+        (("cycle", 8), [2 - 2 * math.cos(2 * math.pi * k / 8) for k in range(8)], 2),
+        (("cycle", 13), [2 - 2 * math.cos(2 * math.pi * k / 13) for k in range(13)], 2),
+        (("hypercube", 3), [2 * k for k in range(4) for _ in range(math.comb(3, k))], 3),
+        (("hypercube", 5), [2 * k for k in range(6) for _ in range(math.comb(5, k))], 5),
+        (("complete_bipartite", 4, 3), [0] + [4] * 2 + [3] * 3 + [7],
+         [0] + [1] * 5 + [2]),
+        (("complete_bipartite", 6, 2), [0] + [6] * 1 + [2] * 5 + [8],
+         [0] + [1] * 6 + [2]),
+        (("complete_bipartite", 5, 1), [0] + [5] * 0 + [1] * 4 + [6], [0] + [1] * 4 + [2]),
+        (("petersen",), [0] + [2] * 5 + [5] * 4, 3),
+    ]
+
+    @pytest.mark.parametrize("spec,lap,norm", CLOSED_FORM_SPECTRA)
+    def test_closed_form_spectrum(self, spec, lap, norm):
+        g = family(*spec)
+        norm = sorted(x / norm for x in lap) if isinstance(norm, int) else sorted(norm)
+        lap = sorted(lap)
+        assert len(lap) == len(norm) == g.n
+        assert np.allclose(np.linalg.eigvalsh(laplacian_matrix(g)), lap, atol=1e-9)
+        assert np.allclose(np.linalg.eigvalsh(normalized_laplacian_matrix(g)), norm, atol=1e-9)
+        for est, want in ((algebraic_connectivity(g), lap[1]),
+                          (normalized_laplacian_mu(g), norm[1])):
+            assert abs(est.value - want) <= 1e-9
+            assert est.converged and est.residual <= 1e-10 and est.iterations == 1
+
+    def test_lapack_failure_skips_bound_entries(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            algebraic_connectivity(family("cycle", 5))
+        rep = bound_report(family("cycle", 6))
+        for name in ("laplacian_gap_upper", "expansion_vs_mu_upper", "expansion_vs_mu_lower"):
+            assert rep.entry(name).skipped
+        assert rep.all_hold
+
     def test_matrices(self):
         g = family("path", 3)
         assert adjacency_matrix(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
@@ -224,7 +267,7 @@ class TestCheeger:
         for seed in range(6):
             g = gnp_connected(8, 0.4, seed=seed)
             val, subset = cheeger_constant(g)
-            want = naive_cheeger(g.n, edge_list(g))
+            want, _ = naive_cheeger(g.n, edge_list(g))
             assert Fraction(val).limit_denominator(10 ** 6) == want
             # the returned subset really attains the value
             side = set(subset)
@@ -232,6 +275,33 @@ class TestCheeger:
             deg = g.degrees()
             vol = int(deg[list(side)].sum())
             assert val == cut / min(vol, 2 * g.m - vol)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_value_and_first_subset_match_oracle(self, n):
+        # odd and even n put the pinned vertex's half and the other half at
+        # equal or unequal sizes; cycles and circulants are regular, random
+        # graphs and trees are not
+        graphs = [gnp_connected(n, 0.4, seed=n), random_tree(n, seed=n)]
+        if n >= 3:
+            graphs.append(family("cycle", n))
+        if n >= 5:
+            graphs.append(from_edge_list(n, [(v, (v + s) % n) for v in range(n) for s in (1, 2)]))
+        for g in graphs:
+            val, subset = cheeger_constant(g)
+            want, want_subset = naive_cheeger(g.n, edge_list(g))
+            assert val == float(want)
+            assert subset == want_subset
+
+    def test_torus_4x6_pinned(self):
+        val, subset = cheeger_constant(family("torus", 4, 6))
+        assert val == 1 / 6
+        assert subset == [0, 1, 2, 6, 7, 8, 12, 13, 14, 18, 19, 20]
+
+    def test_memo_hands_out_fresh_subsets(self):
+        g = family("cycle", 6)
+        _, subset = cheeger_constant(g)
+        subset.append(99)
+        assert cheeger_constant(g)[1] == [0, 1, 2]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
