@@ -3,7 +3,7 @@
 
 The formula pipeline is one all-sources BFS; the LP pipeline solves one
 minimax program per vertex. Both values must agree to 1e-6 wherever both
-run. Example:
+run; the script exits nonzero if any row disagrees. Example:
 
     python scripts/bench_formula_vs_lp.py --max-n 48 --step 8 --seed 7
 """
@@ -24,6 +24,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
+    disagreements = 0
     print(f"{'n':>6} {'m':>7} {'formula_s':>11} {'lp_s':>11} {'ratio':>8} {'agree':>6}")
     for n in range(args.min_n, args.max_n + 1, args.step):
         m = int(n * args.avg_degree / 2)
@@ -36,7 +37,10 @@ def main():
         t_lp = time.perf_counter() - t0
         ratio = t_lp / t_formula if t_formula else float("inf")
         agree = abs(exact - via_lp) <= 1e-6
+        disagreements += not agree
         print(f"{n:>6} {m:>7} {t_formula:>11.5f} {t_lp:>11.5f} {ratio:>8.1f} {agree!s:>6}")
+    if disagreements:
+        raise SystemExit(f"{disagreements} rows disagree")
 
 
 if __name__ == "__main__":

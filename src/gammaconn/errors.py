@@ -42,7 +42,10 @@ class NoConvergence(GammaConnError):
 
 
 class IterationCap(GammaConnError):
-    """The simplex solver hit its pivot cap (guard; not expected with Bland's rule)."""
+    """The simplex hit its step cap; steps are pivots plus bound flips.
+
+    A guard: not expected with Bland's rule.
+    """
 
 
 class InvalidSpec(GammaConnError):

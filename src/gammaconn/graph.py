@@ -203,10 +203,11 @@ def bfs_distances(g, u):
 
 
 def is_connected(g):
-    """True iff one BFS from vertex 0 reaches all n vertices (n=1 is connected)."""
-    if g.n == 1:
-        return True
-    return bool((_bfs(g, 0) >= 0).all())
+    """True iff one BFS from vertex 0 reaches all n vertices (n=1 is connected).
+
+    Memoised per graph.
+    """
+    return _cached(g, "is_connected", lambda: g.n == 1 or bool((_bfs(g, 0) >= 0).all()))
 
 
 def components(g):

@@ -1,8 +1,9 @@
 """Linear-programming cross-checks for the connectivity invariant.
 
-A small dense two-phase simplex (Bland's rule, hence deterministic and
-cycle-free) drives two oracles: the per-vertex minimax program whose minimum
-over pinned vertices reproduces the invariant, and a sign-pattern
+A small dense two-phase bounded-variable simplex (box bounds stay on the
+variables instead of becoming rows; Bland's rule, hence deterministic and
+cycle-free) drives two oracles: the per-vertex minimax program whose
+minimum over pinned vertices reproduces the invariant, and a sign-pattern
 enumeration for the l1 edge-variation analogue on tiny graphs.
 """
 
@@ -75,176 +76,103 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(tableau, basis, tol, cap, iterations):
-    """Bland pivots on a tableau whose last row is the reduced-cost row.
+def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
+    """Bland steps on a tableau of rows B^-1 A whose last row holds reduced costs.
 
-    Returns (status, iterations); status is OPTIMAL or UNBOUNDED.
+    x holds every variable's value (nonbasic ones at a bound, free ones at
+    0). A step is a pivot, or a bound flip when the entering variable's own
+    span binds first. Returns (status, steps); status is OPTIMAL or UNBOUNDED.
     """
-    n_rows = tableau.shape[0] - 1
-    cost = tableau[-1]
+    rows, cost = tableau[:-1], tableau[-1]
+    nonbasic = np.ones(len(x), dtype=bool)
+    nonbasic[basis] = False
     while True:
-        entering = -1
-        for j in range(tableau.shape[1] - 1):
-            if cost[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL, iterations
-        ratio_best = math.inf
-        leave = -1
-        for i in range(n_rows):
-            a = tableau[i, entering]
-            if a > tol:
-                r = tableau[i, -1] / a
-                if r < ratio_best - tol or (abs(r - ratio_best) <= tol and
-                                            (leave < 0 or basis[i] < basis[leave])):
-                    ratio_best = r
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED, iterations
-        _pivot(tableau, basis, leave, entering)
-        iterations += 1
-        if iterations > cap:
-            raise IterationCap(f"simplex exceeded {cap} pivots")
+        improving = ((cost < -tol) & (x < hi)) | ((cost > tol) & (x > lo))
+        candidates = np.flatnonzero(improving & nonbasic)
+        if not len(candidates):
+            return OPTIMAL, steps
+        j = candidates[0]
+        sign = 1.0 if cost[j] < 0 else -1.0
+        alpha = sign * rows[:, j]  # basic values fall by theta * alpha
+        ratio = np.full(len(basis), math.inf)
+        down, up = alpha > tol, alpha < -tol
+        ratio[down] = (x[basis[down]] - lo[basis[down]]) / alpha[down]
+        ratio[up] = (hi[basis[up]] - x[basis[up]]) / -alpha[up]
+        np.maximum(ratio, 0.0, out=ratio)
+        theta = ratio.min(initial=math.inf)
+        span = hi[j] - lo[j]
+        if span <= theta:
+            if span == math.inf:
+                return UNBOUNDED, steps
+            x[basis] -= span * alpha
+            x[j] = hi[j] if sign > 0 else lo[j]
+        else:
+            tied = np.flatnonzero(ratio <= theta + tol)
+            leave = tied[np.argmin(basis[tied])]
+            out = basis[leave]
+            x[basis] -= ratio[leave] * alpha
+            x[j] += sign * ratio[leave]
+            x[out] = lo[out] if alpha[leave] > 0 else hi[out]
+            _pivot(tableau, basis, leave, j)
+            nonbasic[out], nonbasic[j] = True, False
+        steps += 1
+        if steps > cap:
+            raise IterationCap(f"simplex exceeded {cap} steps")
 
 
 def simplex_solve(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+    """Two-phase dense bounded-variable simplex with Bland's anti-cycling rule.
 
-    Bounded variables are shifted (or reflected) to x' >= 0, genuinely free
-    variables are split, finite upper bounds become explicit rows; phase one
-    minimizes artificial variables of the >= and = rows.
+    Every variable keeps its own [lo, hi], so box bounds need no rows; a
+    nonbasic variable sits at a finite bound, a free one at 0. Row i gets a
+    slack s_i with A_i x + s_i = b_i (bounds [0, inf), (-inf, 0] or [0, 0]
+    for <=, >= and =). A row whose slack cannot start basic at the initial
+    bounds gets an artificial; phase one minimizes their sum, phase two
+    fixes them to [0, 0]. `iterations` counts pivots plus bound flips.
     """
-    n = lp.num_vars
-    # variable transforms: each entry maps transformed column(s) back
-    transforms = []  # (kind, data, cols)
-    columns = []     # per transformed column: (orig_var, sign)
-    extra_rows = []  # (coeffs over transformed cols as dict, rhs) for upper bounds
-    offset = np.zeros(n)
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo == hi:
-            transforms.append(("fixed", lo, ()))
-            offset[j] = lo
-        elif lo > -math.inf:
-            col = len(columns)
-            columns.append((j, 1.0))
-            transforms.append(("shift", lo, (col,)))
-            offset[j] = lo
-            if hi < math.inf:
-                extra_rows.append(({col: 1.0}, hi - lo))
-        elif hi < math.inf:
-            col = len(columns)
-            columns.append((j, -1.0))
-            transforms.append(("reflect", hi, (col,)))
-            offset[j] = hi
-        else:
-            col = len(columns)
-            columns.append((j, 1.0))
-            columns.append((j, -1.0))
-            transforms.append(("split", 0.0, (col, col + 1)))
+    n, m = lp.num_vars, len(lp.constraints)
+    a = np.array([coeffs for coeffs, _, _ in lp.constraints], dtype=float).reshape(m, n)
+    rhs = np.array([r for _, _, r in lp.constraints], dtype=float)
+    rels = [rel for _, rel, _ in lp.constraints]
+    slack_lo = np.array([-math.inf if rel == GREATER_EQ else 0.0 for rel in rels])
+    slack_hi = np.array([math.inf if rel == LESS_EQ else 0.0 for rel in rels])
+    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+    start = np.where(lo > -math.inf, lo, np.where(hi < math.inf, hi, 0.0))
+    resid = rhs - a @ start
+    art = np.flatnonzero((resid < slack_lo) | (resid > slack_hi))
+    k = len(art)
+    width = n + m + k
+    tableau = np.zeros((m + 1, width))
+    tableau[:m, :n] = a
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[art] *= np.sign(resid[art])[:, None]
+    tableau[art, n + m + np.arange(k)] = 1.0
+    basis = np.arange(n, n + m)
+    basis[art] = np.arange(n + m, width)
+    slack = resid.copy()
+    slack[art] = 0.0
+    x = np.concatenate([start, slack, np.abs(resid[art])])
+    lo = np.concatenate([lo, slack_lo, np.zeros(k)])
+    hi = np.concatenate([hi, slack_hi, np.full(k, math.inf)])
 
-    n_cols = len(columns)
-    rows = []  # (dense coeffs, relation, rhs) in transformed space
-    for coeffs, rel, rhs in lp.constraints:
-        coeffs = np.asarray(coeffs, dtype=float)
-        dense = np.zeros(n_cols)
-        for col, (orig, sign) in enumerate(columns):
-            dense[col] = sign * coeffs[orig]
-        rows.append((dense, rel, rhs - float(coeffs @ offset)))
-    for sparse, rhs in extra_rows:
-        dense = np.zeros(n_cols)
-        for col, val in sparse.items():
-            dense[col] = val
-        rows.append((dense, LESS_EQ, rhs))
+    cap = 200 * (m + width + 10)
+    steps = 0
+    if k:
+        tableau[-1, n + m:] = 1.0
+        tableau[-1] -= tableau[art].sum(axis=0)
+        status, steps = _run_phase(tableau, basis, x, lo, hi, tol, cap, steps)
+        if status != OPTIMAL or x[n + m:].sum() > _FEAS_TOL:
+            return LPSolution(INFEASIBLE, None, None, steps)
+        hi[n + m:] = 0.0
 
-    m_rows = len(rows)
-    n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
-    art_rows = []
-    tableau = np.zeros((m_rows + 1, n_cols + n_slack + 1))
-    basis = [-1] * m_rows
-    slack_at = n_cols
-    for i, (dense, rel, rhs) in enumerate(rows):
-        if rhs < 0:
-            dense, rhs = -dense, -rhs
-            rel = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[rel]
-        tableau[i, :n_cols] = dense
-        tableau[i, -1] = rhs
-        if rel == LESS_EQ:
-            tableau[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif rel == GREATER_EQ:
-            tableau[i, slack_at] = -1.0
-            slack_at += 1
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-
-    cap = 200 * (m_rows + n_cols + n_slack + 10)
-    iterations = 0
-    if art_rows:
-        art_start = n_cols + n_slack
-        full = np.zeros((m_rows + 1, art_start + len(art_rows) + 1))
-        full[:-1, :art_start] = tableau[:-1, :art_start]
-        full[:-1, -1] = tableau[:-1, -1]
-        for k, i in enumerate(art_rows):
-            full[i, art_start + k] = 1.0
-            basis[i] = art_start + k
-        # phase-1 reduced costs: minimize the artificial sum
-        full[-1, art_start:-1] = 1.0
-        for i in art_rows:
-            full[-1] -= full[i]
-        status, iterations = _run_phase(full, basis, tol, cap, iterations)
-        phase1_value = -full[-1, -1]
-        if status != OPTIMAL or phase1_value > _FEAS_TOL:
-            return LPSolution(INFEASIBLE, None, None, iterations)
-        # drive leftover artificials out of the basis, drop redundant rows
-        keep = []
-        for i in range(m_rows):
-            if basis[i] >= art_start:
-                piv = -1
-                for j in range(art_start):
-                    if abs(full[i, j]) > tol:
-                        piv = j
-                        break
-                if piv < 0:
-                    continue  # all-zero row: redundant
-                _pivot(full, basis, i, piv)
-                iterations += 1
-            keep.append(i)
-        tableau = np.zeros((len(keep) + 1, n_cols + n_slack + 1))
-        tableau[:-1, :-1] = full[keep][:, :art_start]
-        tableau[:-1, -1] = full[keep][:, -1]
-        basis = [basis[i] for i in keep]
-
-    # phase-2 reduced costs from the real objective on transformed columns
-    cost = np.zeros(n_cols + n_slack + 1)
-    obj = np.asarray(lp.objective, dtype=float)
-    for col, (orig, sign) in enumerate(columns):
-        cost[col] = sign * obj[orig]
-    tableau[-1] = cost
-    for i, b in enumerate(basis):
-        if cost[b] != 0.0:
-            tableau[-1] -= cost[b] * tableau[i]
-    status, iterations = _run_phase(tableau, basis, tol, cap, iterations)
+    cost = np.zeros(width)
+    cost[:n] = lp.objective
+    tableau[-1] = cost - cost[basis] @ tableau[:-1]
+    status, steps = _run_phase(tableau, basis, x, lo, hi, tol, cap, steps)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, iterations)
-
-    values = np.zeros(n_cols)
-    for i, b in enumerate(basis):
-        if b < n_cols:
-            values[b] = tableau[i, -1]
-    assignment = np.zeros(n)
-    for j, (kind, data, cols) in enumerate(transforms):
-        if kind == "fixed":
-            assignment[j] = data
-        elif kind == "shift":
-            assignment[j] = data + values[cols[0]]
-        elif kind == "reflect":
-            assignment[j] = data - values[cols[0]]
-        else:
-            assignment[j] = values[cols[0]] - values[cols[1]]
-    return LPSolution(OPTIMAL, float(obj @ assignment), assignment, iterations)
+        return LPSolution(UNBOUNDED, None, None, steps)
+    assignment = x[:n].copy()
+    return LPSolution(OPTIMAL, float(cost[:n] @ assignment), assignment, steps)
 
 
 # ---------------------------------------------------------------------------

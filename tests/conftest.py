@@ -2,12 +2,15 @@
 
 Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
-expansion from a plain subset loop. Tests compare package output against
-these, never against itself.
+expansion from a plain subset loop, LP optima from vertex enumeration. Tests
+compare package output against these, never against itself.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gammaconn import FamilySpec, from_edge_list, generate
@@ -61,6 +64,39 @@ def naive_cheeger(n, edges):
         if best is None or h < best:
             best, best_side = h, sorted(side)
     return best, best_side
+
+
+def naive_lp(objective, constraints, bounds, tol=1e-9):
+    """LP minimum by vertex enumeration: (value, x), or None if no vertex is feasible.
+
+    Every n-subset of the constraint and finite-bound hyperplanes is solved
+    with numpy.linalg.solve; the feasible intersection points are the
+    vertices. Exact when the feasible region is a nonempty polytope (for
+    instance, when every variable is boxed).
+    """
+    n = len(objective)
+    planes = [(np.asarray(coeffs, dtype=float), rhs) for coeffs, _, rhs in constraints]
+    for j, (lo, hi) in enumerate(bounds):
+        planes += [(np.eye(n)[j], value) for value in {lo, hi} if math.isfinite(value)]
+    best = None
+    for subset in combinations(planes, n):
+        a = np.array([row for row, _ in subset])
+        if abs(np.linalg.det(a)) < 1e-9:
+            continue
+        x = np.linalg.solve(a, np.array([rhs for _, rhs in subset]))
+        feasible = all(lo - tol <= v <= hi + tol for v, (lo, hi) in zip(x, bounds))
+        for coeffs, rel, rhs in constraints:
+            lhs = float(np.dot(coeffs, x))
+            if rel == "<=":
+                feasible &= lhs <= rhs + tol
+            elif rel == ">=":
+                feasible &= lhs >= rhs - tol
+            else:
+                feasible &= abs(lhs - rhs) <= tol
+        value = float(np.dot(objective, x))
+        if feasible and (best is None or value < best[0]):
+            best = (value, x)
+    return best
 
 
 def edge_list(g):

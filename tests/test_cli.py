@@ -228,6 +228,22 @@ class TestOncePerGraph:
         assert np.array_equal(eigh[0][0], invariants.laplacian_matrix(g))
         assert np.array_equal(eigh[1][0], invariants.normalized_laplacian_matrix(g))
 
+    @pytest.mark.parametrize("g,args", [
+        (gnm_connected(2000, 10000, seed=5), ("compute",)),
+        (family("path", 999), ("compute",)),
+        (family("torus", 4, 6), ("verify", "--spectral", "--cheeger", "--lp")),
+        (family("petersen"), ("verify", "--spectral", "--cheeger", "--lp")),
+    ], ids=["gnm2000-compute", "path999-compute", "torus4x6-verify", "petersen-verify"])
+    def test_connectivity_bfs_runs_once(self, tmp_path, capsys, monkeypatch, g, args):
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        in_graph = counted(monkeypatch, graph, "_bfs")
+        in_invariants = counted(monkeypatch, invariants, "_bfs")
+        code, _, _ = run_cli(capsys, "--json", args[0], str(path), *args[1:])
+        assert code == 0
+        # one connectivity sweep plus the witness shells
+        assert len(in_graph) + len(in_invariants) <= 2
+
 
 class TestGenerateAndProduct:
     def test_generate_cycle(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gammaconn import gamma, transmission_table
+from gammaconn import lp as lp_module
 from gammaconn.errors import DisconnectedGraph, TooLarge, TooSmall, VertexOutOfRange
 from gammaconn.lp import (
     EQUAL,
@@ -22,7 +23,7 @@ from gammaconn.lp import (
 )
 from gammaconn.random_graphs import gnp_connected
 
-from conftest import family, two_k2  # noqa: F401
+from conftest import family, naive_lp, two_k2  # noqa: F401
 
 INF = math.inf
 
@@ -94,6 +95,35 @@ class TestSimplex:
         assert a.iterations == b.iterations
         assert a.assignment.tolist() == b.assignment.tolist()
 
+    def test_bound_flip_counts_as_a_step(self, monkeypatch):
+        # x0 enters first and reaches its own upper bound before the row
+        # binds (a flip, no pivot); x1 then enters and pivots the slack out
+        lp = LinearProgram(
+            2, (-1.0, -1.0),
+            (((1.0, 1.0), LESS_EQ, 5.0),),
+            ((0.0, 1.0), (0.0, 10.0)))
+        pivots = []
+        pivot = lp_module._pivot
+        monkeypatch.setattr(lp_module, "_pivot",
+                            lambda *args: pivots.append(args[2:]) or pivot(*args))
+        sol = simplex_solve(lp)
+        assert sol.status == OPTIMAL
+        assert sol.assignment.tolist() == pytest.approx([1.0, 4.0], abs=1e-12)
+        assert len(pivots) == 1 and sol.iterations == 2
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): degenerate, and cycles under the largest-coefficient
+        # entering rule; Bland's rule must terminate (else IterationCap)
+        lp = LinearProgram(
+            4, (-0.75, 20.0, -0.5, 6.0),
+            (((0.25, -8.0, -1.0, 9.0), LESS_EQ, 0.0),
+             ((0.5, -12.0, -0.5, 3.0), LESS_EQ, 0.0)),
+            ((0.0, INF), (0.0, INF), (0.0, 1.0), (0.0, INF)))
+        sol = simplex_solve(lp)
+        assert sol.status == OPTIMAL
+        assert sol.objective == pytest.approx(-1.25, abs=1e-12)
+        assert sol.assignment.tolist() == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LinearProgram(2, (1.0,), (), ((0.0, 1.0), (0.0, 1.0)))
@@ -101,6 +131,40 @@ class TestSimplex:
             LinearProgram(1, (1.0,), (), ((2.0, 1.0),))
         with pytest.raises(ValueError):
             LinearProgram(1, (1.0,), (((1.0,), "!=", 0.0),), ((0.0, 1.0),))
+
+
+def random_boxed_lp(rng):
+    """Small integer LP: n <= 4 boxed or fixed variables, m <= 4 mixed rows."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+    relations = (LESS_EQ, EQUAL, GREATER_EQ)
+    constraints = tuple(
+        (tuple(float(c) for c in rng.integers(-3, 4, n)),
+         relations[int(rng.integers(3))], float(rng.integers(-4, 5)))
+        for _ in range(m))
+    bounds = []
+    for _ in range(n):
+        lo = float(rng.integers(-3, 3))
+        bounds.append((lo, lo if rng.random() < 0.2 else lo + float(rng.integers(1, 4))))
+    objective = tuple(float(c) for c in rng.integers(-3, 4, n))
+    return LinearProgram(n, objective, constraints, tuple(bounds))
+
+
+class TestAgainstVertexEnumeration:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_boxed_lps(self, seed):
+        rng = np.random.default_rng(seed)
+        statuses = []
+        for _ in range(100):
+            lp = random_boxed_lp(rng)
+            sol = simplex_solve(lp)
+            expected = naive_lp(lp.objective, lp.constraints, lp.bounds)
+            statuses.append(sol.status)
+            if expected is None:
+                assert sol.status == INFEASIBLE
+            else:
+                assert sol.status == OPTIMAL
+                assert sol.objective == pytest.approx(expected[0], abs=1e-7)
+        assert {OPTIMAL, INFEASIBLE} <= set(statuses)
 
 
 class TestPinnedVertexLP:
