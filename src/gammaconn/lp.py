@@ -83,7 +83,7 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
     0). A step is a pivot, or a bound flip when the entering variable's own
     span binds first. Returns (status, steps); status is OPTIMAL or UNBOUNDED.
     """
-    rows, cost = tableau[:-1], tableau[-1]
+    cost = tableau[-1]
     nonbasic = np.ones(len(x), dtype=bool)
     nonbasic[basis] = False
     while True:
@@ -93,7 +93,7 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
             return OPTIMAL, steps
         j = candidates[0]
         sign = 1.0 if cost[j] < 0 else -1.0
-        alpha = sign * rows[:, j]  # basic values fall by theta * alpha
+        alpha = sign * tableau[:-1, j]  # basic values fall by theta * alpha
         ratio = np.full(len(basis), math.inf)
         down, up = alpha > tol, alpha < -tol
         ratio[down] = (x[basis[down]] - lo[basis[down]]) / alpha[down]
