@@ -10,6 +10,8 @@ from __future__ import annotations
 from .errors import EdgeListParseError
 from .graph import Graph, from_edge_list
 
+_INT64_MAX = 2 ** 63 - 1  # vertex ids and counts are stored as int64
+
 
 def parse_edge_list(text: str) -> Graph:
     header = None
@@ -29,6 +31,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(line_no, f"non-integer header {raw!r}") from None
             if n < 1 or m < 0:
                 raise EdgeListParseError(line_no, f"invalid header values n={n} m={m}")
+            if max(n, m) > _INT64_MAX:
+                raise EdgeListParseError(line_no, f"header values n={n} m={m} exceed int64")
             header = (n, m)
             continue
         n, m = header

@@ -5,12 +5,18 @@ variables instead of becoming rows; Bland's rule, hence deterministic and
 cycle-free) drives two oracles: the per-vertex minimax program whose
 minimum over pinned vertices reproduces the invariant, and a sign-pattern
 enumeration for the l1 edge-variation analogue on tiny graphs.
+
+Each oracle solves a sequence of programs that share every row and differ
+in the bounds of two variables. Only the first is solved cold; each next
+one restarts from the previous optimal basis on the same tableau
+(`_Tableau.restart`): the tableau is recomputed from the basis, one
+variable is freed, the other is driven to its new fixed value by a
+one-variable objective and fixed, and the real objective is repriced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import math
 import numpy as np
@@ -120,6 +126,111 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
             raise IterationCap(f"simplex exceeded {cap} steps")
 
 
+class _Tableau:
+    """A bounded-variable simplex tableau that later programs can restart from.
+
+    The columns are [A | I | artificials], set up as `simplex_solve`
+    describes. `columns` and `rhs` keep those rows (negated where an
+    artificial needed it), so `refresh` can rebuild the tableau from the
+    basis alone.
+    """
+
+    def __init__(self, lp: LinearProgram, tol: float):
+        n, m = lp.num_vars, len(lp.constraints)
+        a = np.array([coeffs for coeffs, _, _ in lp.constraints], dtype=float).reshape(m, n)
+        rhs = np.array([r for _, _, r in lp.constraints], dtype=float)
+        rels = [rel for _, rel, _ in lp.constraints]
+        slack_lo = np.array([-math.inf if rel == GREATER_EQ else 0.0 for rel in rels])
+        slack_hi = np.array([math.inf if rel == LESS_EQ else 0.0 for rel in rels])
+        lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+        start = np.where(lo > -math.inf, lo, np.where(hi < math.inf, hi, 0.0))
+        resid = rhs - a @ start
+        art = np.flatnonzero((resid < slack_lo) | (resid > slack_hi))
+        k = len(art)
+        width = n + m + k
+        self.columns = np.zeros((m, width))
+        self.columns[:, :n] = a
+        self.columns[:, n:n + m] = np.eye(m)
+        self.columns[art] *= np.sign(resid[art])[:, None]
+        self.columns[art, n + m + np.arange(k)] = 1.0
+        self.rhs = rhs
+        self.rhs[art] *= np.sign(resid[art])
+        self.tableau = np.vstack([self.columns, np.zeros(width)])
+        self.basis = np.arange(n, n + m)
+        self.basis[art] = np.arange(n + m, width)
+        slack = resid.copy()
+        slack[art] = 0.0
+        self.x = np.concatenate([start, slack, np.abs(resid[art])])
+        self.lo = np.concatenate([lo, slack_lo, np.zeros(k)])
+        self.hi = np.concatenate([hi, slack_hi, np.full(k, math.inf)])
+        self.num_vars, self.num_rows, self.width = n, m, width
+        self.tol = tol
+        self.cap = 200 * (m + width + 10)
+        self.steps = 0
+
+    def run(self, cost) -> str:
+        """Reprice with `cost` (one entry per column) and run Bland steps to its optimum."""
+        self.tableau[-1] = cost - cost[self.basis] @ self.tableau[:-1]
+        status, self.steps = _run_phase(self.tableau, self.basis, self.x, self.lo, self.hi,
+                                        self.tol, self.cap, self.steps)
+        return status
+
+    def solve(self, cost) -> LPSolution:
+        """Run to the optimum of `cost` and read off the original variables."""
+        if self.run(cost) == UNBOUNDED:
+            return LPSolution(UNBOUNDED, None, None, self.steps)
+        assignment = self.x[:self.num_vars].copy()
+        objective = float(cost[:self.num_vars] @ assignment)
+        return LPSolution(OPTIMAL, objective, assignment, self.steps)
+
+    def refresh(self):
+        """Rebuild B^-1 [A | I | art] and the basic values from the basis with one solve.
+
+        Restarting from a tableau carried through many pivots lets rounding
+        error accumulate; recomputing it from the basis removes that drift.
+        """
+        nonbasic_x = self.x.copy()
+        nonbasic_x[self.basis] = 0.0
+        rhs = self.rhs - self.columns @ nonbasic_x
+        solved = np.linalg.solve(self.columns[:, self.basis],
+                                 np.column_stack([self.columns, rhs]))
+        self.tableau[:-1] = solved[:, :-1]
+        self.x[self.basis] = solved[:, -1]
+
+    def restart(self, free: int, span: tuple[float, float], fix: int, value: float):
+        """Warm start the next program of a sequence from the current optimal basis.
+
+        Variable `free` gets the bounds `span`, then variable `fix` is driven
+        to `value`, one of its current bounds, by minimizing (or maximizing)
+        it alone, and fixed there. The new program must be feasible, so the
+        drive always reaches `value`; the caller then calls `solve`.
+        """
+        self.refresh()
+        self.lo[free], self.hi[free] = span
+        drive = np.zeros(self.width)
+        drive[fix] = 1.0 if value == self.lo[fix] else -1.0
+        self.steps = 0
+        self.run(drive)
+        if abs(self.x[fix] - value) > _FEAS_TOL:
+            raise GammaConnError(f"warm start could not move variable {fix} to {value}")
+        self.lo[fix] = self.hi[fix] = value
+
+
+def _cold_start(lp: LinearProgram, tol: float) -> tuple[_Tableau, LPSolution]:
+    """Solve `lp` from the slack basis; return its final tableau and the solution."""
+    t = _Tableau(lp, tol)
+    n, m = t.num_vars, t.num_rows
+    if t.width > n + m:
+        cost = np.zeros(t.width)
+        cost[n + m:] = 1.0
+        if t.run(cost) != OPTIMAL or t.x[n + m:].sum() > _FEAS_TOL:
+            return t, LPSolution(INFEASIBLE, None, None, t.steps)
+        t.hi[n + m:] = 0.0
+    cost = np.zeros(t.width)
+    cost[:n] = lp.objective
+    return t, t.solve(cost)
+
+
 def simplex_solve(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
     """Two-phase dense bounded-variable simplex with Bland's anti-cycling rule.
 
@@ -130,49 +241,7 @@ def simplex_solve(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
     bounds gets an artificial; phase one minimizes their sum, phase two
     fixes them to [0, 0]. `iterations` counts pivots plus bound flips.
     """
-    n, m = lp.num_vars, len(lp.constraints)
-    a = np.array([coeffs for coeffs, _, _ in lp.constraints], dtype=float).reshape(m, n)
-    rhs = np.array([r for _, _, r in lp.constraints], dtype=float)
-    rels = [rel for _, rel, _ in lp.constraints]
-    slack_lo = np.array([-math.inf if rel == GREATER_EQ else 0.0 for rel in rels])
-    slack_hi = np.array([math.inf if rel == LESS_EQ else 0.0 for rel in rels])
-    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
-    start = np.where(lo > -math.inf, lo, np.where(hi < math.inf, hi, 0.0))
-    resid = rhs - a @ start
-    art = np.flatnonzero((resid < slack_lo) | (resid > slack_hi))
-    k = len(art)
-    width = n + m + k
-    tableau = np.zeros((m + 1, width))
-    tableau[:m, :n] = a
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[art] *= np.sign(resid[art])[:, None]
-    tableau[art, n + m + np.arange(k)] = 1.0
-    basis = np.arange(n, n + m)
-    basis[art] = np.arange(n + m, width)
-    slack = resid.copy()
-    slack[art] = 0.0
-    x = np.concatenate([start, slack, np.abs(resid[art])])
-    lo = np.concatenate([lo, slack_lo, np.zeros(k)])
-    hi = np.concatenate([hi, slack_hi, np.full(k, math.inf)])
-
-    cap = 200 * (m + width + 10)
-    steps = 0
-    if k:
-        tableau[-1, n + m:] = 1.0
-        tableau[-1] -= tableau[art].sum(axis=0)
-        status, steps = _run_phase(tableau, basis, x, lo, hi, tol, cap, steps)
-        if status != OPTIMAL or x[n + m:].sum() > _FEAS_TOL:
-            return LPSolution(INFEASIBLE, None, None, steps)
-        hi[n + m:] = 0.0
-
-    cost = np.zeros(width)
-    cost[:n] = lp.objective
-    tableau[-1] = cost - cost[basis] @ tableau[:-1]
-    status, steps = _run_phase(tableau, basis, x, lo, hi, tol, cap, steps)
-    if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, steps)
-    assignment = x[:n].copy()
-    return LPSolution(OPTIMAL, float(cost[:n] @ assignment), assignment, steps)
+    return _cold_start(lp, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +280,38 @@ def solve_lp_k(g: Graph, k: int, tol: float = 1e-9) -> LPSolution:
 
 
 def gamma_lp_details(g: Graph, tol: float = 1e-9):
-    """All pinned-vertex optima: (minimum, per-vertex list, best vertex, best x)."""
+    """All pinned-vertex optima: (minimum, per-vertex list, best vertex, best x).
+
+    The programs for k = 0..n-1 share every row and differ only in which
+    x_k is fixed to [1, 1], so they run on one tableau: k = 0 is solved
+    cold, and each later k restarts from the previous optimal basis. The
+    tableau is recomputed from that basis, x_{k-1} is freed to [-1, 1],
+    x_k is driven to 1 (reachable, since pinning one vertex is feasible
+    for n >= 2) and fixed, and the objective y is minimized again.
+    """
     if g.n < 2:
         raise TooSmall("the LP oracle needs at least 2 vertices")
     if not is_connected(g):
         raise DisconnectedGraph("the LP oracle mirrors the connected-only formula")
+    n = g.n
+    tableau, sol = _cold_start(build_lp_k(g, 0), tol)
+    cost = np.zeros(tableau.width)
+    cost[n] = 1.0
     per_k = []
     best_k = -1
     best = math.inf
     best_x = None
-    for k in range(g.n):
-        sol = solve_lp_k(g, k, tol)
+    for k in range(n):
+        if k:
+            tableau.restart(k - 1, (-1.0, 1.0), k, 1.0)
+            sol = tableau.solve(cost)
+        if sol.status != OPTIMAL:
+            raise GammaConnError(f"pinned-vertex LP at k={k} reported {sol.status}")
         per_k.append(sol.objective)
         if sol.objective < best - 1e-12:
             best = sol.objective
             best_k = k
-            best_x = sol.assignment[: g.n]
+            best_x = sol.assignment[:n]
     return best, per_k, best_k, best_x
 
 
@@ -244,7 +329,15 @@ def b_small_oracle(g: Graph, max_n: int = 12, tol: float = 1e-9) -> float:
     One LP per sign pattern: inside a fixed orthant the l1 norm is linear,
     so enumerating all orthants makes the nonconvex constraint exact.
     Negating x maps a pattern to its complement, so the first sign is
-    pinned positive and only 2^(n-1) patterns are solved.
+    pinned positive and only 2^(n-1) patterns remain; the all-positive one
+    is skipped, since zero sum and unit norm make it infeasible.
+
+    x = p - q with p, q in [0, 1], so the norm row sum(p + q) = 1 is the
+    same in every pattern, and a pattern only fixes p_v (negative v) or q_v
+    (positive v) to [0, 0]. The patterns are walked in Gray-code order, so
+    consecutive ones differ in one vertex: the first is solved cold and
+    each next one restarts from the previous optimal basis, freeing one
+    variable and driving the other to 0 (`_Tableau.restart`).
     """
     if g.n < 2:
         raise TooSmall("the l1 oracle needs at least 2 vertices")
@@ -253,28 +346,35 @@ def b_small_oracle(g: Graph, max_n: int = 12, tol: float = 1e-9) -> float:
     if not is_connected(g):
         raise DisconnectedGraph("the l1 oracle requires a connected graph")
     n, m = g.n, g.m
-    edge_rows = []
+    num_vars = 2 * n + m  # p_0..p_{n-1}, q_0..q_{n-1}, then one t per edge
+    rows = []
     for i, (u, v) in enumerate(g.edges):
-        row = [0.0] * (n + m)
-        row[u], row[v], row[n + i] = 1.0, -1.0, -1.0
-        edge_rows.append((tuple(row), LESS_EQ, 0.0))
-        row = [0.0] * (n + m)
-        row[u], row[v], row[n + i] = -1.0, 1.0, -1.0
-        edge_rows.append((tuple(row), LESS_EQ, 0.0))
-    zero_sum = (tuple([1.0] * n + [0.0] * m), EQUAL, 0.0)
-    objective = tuple([0.0] * n + [1.0] * m)
-    t_bounds = [(0.0, 2.0)] * m
-
+        for sign in (1.0, -1.0):
+            row = [0.0] * num_vars
+            row[u], row[v], row[n + u], row[n + v] = sign, -sign, -sign, sign
+            row[2 * n + i] = -1.0
+            rows.append((tuple(row), LESS_EQ, 0.0))
+    rows.append((tuple([1.0] * n + [-1.0] * n + [0.0] * m), EQUAL, 0.0))
+    rows.append((tuple([1.0] * (2 * n) + [0.0] * m), EQUAL, 1.0))
+    objective = tuple([0.0] * (2 * n) + [1.0] * m)
+    # Gray code 1: vertex 1 negative, every other vertex positive
+    bounds = [(0.0, 1.0)] * n + [(0.0, 0.0)] * n + [(0.0, 2.0)] * m
+    bounds[1], bounds[n + 1] = (0.0, 0.0), (0.0, 1.0)
+    lp = LinearProgram(num_vars, objective, tuple(rows), tuple(bounds))
+    tableau, sol = _cold_start(lp, tol)
+    cost = np.zeros(tableau.width)
+    cost[:num_vars] = objective
     best = math.inf
-    for signs in iter_product((1.0, -1.0), repeat=n - 1):
-        sg = (1.0,) + signs
-        norm_row = (tuple(list(sg) + [0.0] * m), EQUAL, 1.0)
-        bounds = [((0.0, 1.0) if s > 0 else (-1.0, 0.0)) for s in sg] + t_bounds
-        lp = LinearProgram(n + m, objective, tuple(edge_rows) + (zero_sum, norm_row),
-                           tuple(bounds))
-        sol = simplex_solve(lp, tol)
-        if sol.status == OPTIMAL and sol.objective < best:
-            best = sol.objective
-    if not math.isfinite(best):
-        raise GammaConnError("no sign pattern produced a feasible l1 program")
+    for i in range(1, 2 ** (n - 1)):
+        if i > 1:
+            bit = i & -i  # the Gray codes of i - 1 and i differ in this bit
+            v = bit.bit_length()  # bit b holds the sign of vertex b + 1
+            if (i ^ (i >> 1)) & bit:  # v turns negative
+                tableau.restart(n + v, (0.0, 1.0), v, 0.0)
+            else:
+                tableau.restart(v, (0.0, 1.0), n + v, 0.0)
+            sol = tableau.solve(cost)
+        if sol.status != OPTIMAL:
+            raise GammaConnError(f"l1 sign-pattern LP reported {sol.status}")
+        best = min(best, sol.objective)
     return best

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
-expansion from a plain subset loop, LP optima from vertex enumeration. Tests
-compare package output against these, never against itself.
+expansion and the l1 cut from a plain subset loop, LP optima from vertex
+enumeration. Tests compare package output against these, never against
+itself.
 """
 
 import math
@@ -66,6 +67,23 @@ def naive_cheeger(n, edges):
     return best, best_side
 
 
+def naive_l1_cut(n, edges):
+    """Least total edge variation under zero sum and unit l1 norm, as a Fraction.
+
+    The optimum is a two-valued vector: 1/(2|S|) on a nonempty proper subset
+    S and -1/(2(n - |S|)) off it, whose variation is |dS| n / (2|S|(n - |S|)),
+    so a plain loop over the subsets finds it.
+    """
+    best = None
+    for mask in range(1, 2 ** n - 1):
+        size = bin(mask).count("1")
+        cut = sum(1 for u, v in edges if (mask >> u & 1) != (mask >> v & 1))
+        value = Fraction(cut * n, 2 * size * (n - size))
+        if best is None or value < best:
+            best = value
+    return best
+
+
 def naive_lp(objective, constraints, bounds, tol=1e-9):
     """LP minimum by vertex enumeration: (value, x), or None if no vertex is feasible.
 
@@ -97,6 +115,19 @@ def naive_lp(objective, constraints, bounds, tol=1e-9):
         if feasible and (best is None or value < best[0]):
             best = (value, x)
     return best
+
+
+def counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def edge_list(g):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammaconn import generate, graph, invariants
 from gammaconn.cli import main
@@ -14,7 +16,15 @@ from gammaconn.edgelist import (
 from gammaconn.errors import EdgeListParseError
 from gammaconn.random_graphs import gnm_connected
 
-from conftest import family, small_family_corpus
+from conftest import counted, family, small_family_corpus
+
+
+# small vertex ids and counts, so no header asks for a large graph
+EDGE_LIST_TOKEN = st.sampled_from([str(i) for i in range(51)] + ["-1", "-7", "-50"]
+                                  + ["x", "n", "1.5", "0x1", "#", "# note", ""])
+# half the lines have the two tokens of a header or an edge
+EDGE_LIST_LINE = st.one_of(st.lists(EDGE_LIST_TOKEN, min_size=2, max_size=2),
+                           st.lists(EDGE_LIST_TOKEN, max_size=4))
 
 
 class TestEdgeListFormat:
@@ -42,12 +52,27 @@ class TestEdgeListFormat:
         ("3 1\n0 3\n", "outside"),
         ("3 1\n1 1\n", "self-loop"),
         ("3 2\n0 1\n1 0\n", "duplicate"),
+        # header values numpy cannot hold once raised its bare ValueError
+        ("99999999999999999999999 0\n", "line 1: header values n=99999999999999999999999 m=0"),
+        ("3 99999999999999999999999\n", "line 1: header values n=3 m=99999999999999999999999"),
+        ("# n = 2^63\n9223372036854775808 1\n0 1\n", "line 2: header values"),
     ])
     def test_parse_errors_carry_line_numbers(self, doc, fragment):
         with pytest.raises(EdgeListParseError) as exc:
             parse_edge_list(doc)
         assert fragment in str(exc.value)
         assert exc.value.line_no >= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(EDGE_LIST_LINE, max_size=10), st.sampled_from(["\n", "\r\n"]))
+    def test_fuzzed_text_parses_or_names_a_line(self, lines, newline):
+        text = newline.join(" ".join(tokens) for tokens in lines)
+        try:
+            g = parse_edge_list(text)
+        except EdgeListParseError as exc:
+            assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
+        else:
+            assert parse_edge_list(format_edge_list(g)) == g
 
 
 def run_cli(capsys, *argv):
@@ -186,19 +211,6 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "--json", "verify", str(path))
         assert code == 1
         assert json.loads(out)["bounds"]["all_hold"] is False
-
-
-def counted(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that records each call's arguments."""
-    calls = []
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
 
 
 class TestOncePerGraph:

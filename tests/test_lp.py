@@ -21,9 +21,9 @@ from gammaconn.lp import (
     simplex_solve,
     solve_lp_k,
 )
-from gammaconn.random_graphs import gnp_connected
+from gammaconn.random_graphs import gnm_connected, gnp_connected, random_tree
 
-from conftest import family, naive_lp, two_k2  # noqa: F401
+from conftest import counted, edge_list, family, naive_l1_cut, naive_lp, two_k2  # noqa: F401
 
 INF = math.inf
 
@@ -193,6 +193,58 @@ class TestPinnedVertexLP:
             build_lp_k(family("path", 3), 3)
 
 
+class TestWarmStartedPinnedOracle:
+    """`gamma_lp_details` solves k = 0 cold and restarts every later k from the last basis."""
+
+    @pytest.mark.parametrize("kind,params,orbits", [
+        ("path", (3,), [[0, 2], [1]]),
+        ("star", (4,), [[0], [1, 2, 3]]),
+        ("cycle", (4,), [[0, 1, 2, 3]]),
+        ("complete", (4,), [[0, 1, 2, 3]]),
+    ])
+    def test_per_k_match_vertex_enumeration(self, kind, params, orbits):
+        # pinned vertices in one automorphism orbit have equal optima, so the
+        # oracle solves one program per orbit
+        g = family(kind, *params)
+        per_k = gamma_lp_details(g)[1]
+        for orbit in orbits:
+            lp = build_lp_k(g, orbit[0])
+            expected = naive_lp(lp.objective, lp.constraints, lp.bounds)[0]
+            for k in orbit:
+                assert per_k[k] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_per_k_match_cold_solves(self, seed):
+        g = gnp_connected(3 + seed % 6, 0.45, seed=50 + seed)
+        best, per_k, best_k, best_x = gamma_lp_details(g)
+        cold = [solve_lp_k(g, k).objective for k in range(g.n)]
+        assert per_k == pytest.approx(cold, abs=1e-9)
+        assert best == per_k[best_k] <= min(per_k) + 1e-12
+        # the first minimiser, ties going to the smaller vertex
+        assert best_k == next(k for k, v in enumerate(cold) if v <= min(cold) + 1e-9)
+        assert best_x[best_k] == pytest.approx(1.0, abs=1e-9)
+        assert min(per_k) == pytest.approx(float(gamma(g).gamma), abs=1e-9)
+
+    def test_long_sequence_stays_within_tolerance(self):
+        # 40 restarts: without recomputing the tableau from the basis before
+        # each one, rounding drift here reaches 2.4e-9
+        g = gnm_connected(40, 100, seed=20240809)
+        per_k = gamma_lp_details(g)[1]
+        cold = [solve_lp_k(g, k).objective for k in range(g.n)]
+        assert per_k == pytest.approx(cold, abs=1e-9)
+
+    @pytest.mark.parametrize("g", [family("path", 2), family("petersen"),
+                                   gnp_connected(7, 0.4, seed=3)],
+                             ids=["path2", "petersen", "gnp7"])
+    def test_one_cold_start_per_call(self, monkeypatch, g):
+        # a silent fallback to one cold solve per program would fail here
+        cold = counted(monkeypatch, lp_module, "_cold_start")
+        gamma_lp_details(g)
+        assert len(cold) == 1
+        b_small_oracle(g)
+        assert len(cold) == 2
+
+
 class TestGammaViaLp:
     @pytest.mark.parametrize("kind,params,expected", [
         ("cycle", (4,), 1.0),
@@ -279,6 +331,14 @@ class TestL1Oracle:
     def test_single_edge_bound_is_tight(self):
         g = family("complete", 2)
         assert b_small_oracle(g) == pytest.approx((g.m / 2) * float(gamma(g).gamma), abs=1e-9)
+
+    @pytest.mark.parametrize("g", [gnp_connected(2 + seed % 8, 0.45, seed=seed)
+                                   for seed in range(10)]
+                             + [family("petersen"), random_tree(9, 7)],
+                             ids=[f"gnp{seed}" for seed in range(10)] + ["petersen", "tree9"])
+    def test_matches_cut_oracle(self, g):
+        expected = float(naive_l1_cut(g.n, edge_list(g)))
+        assert b_small_oracle(g) == pytest.approx(expected, abs=1e-9)
 
     def test_caps(self, two_k2):
         with pytest.raises(TooLarge):
