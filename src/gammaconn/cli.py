@@ -17,7 +17,8 @@ from . import invariants, lp
 from .edgelist import read_edge_list, write_edge_list
 from .errors import GammaConnError, TooLarge
 from .families import FamilySpec, cartesian_product, generate
-from .graph import is_connected, is_tree, transmission_table
+# is_connected is unused here; perfbench/selftest.py checks that its tracer wraps cli.is_connected
+from .graph import is_connected, is_tree, transmission_table  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -25,7 +26,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 _DEFAULT_CHEEGER_CAP = 24
-_DEFAULT_B_CAP = 12
 _DEFAULT_BENCH_LP_CAP = 60
 
 _BENCH_FAMILIES = ("path", "cycle", "complete", "star", "hypercube")
@@ -95,6 +95,16 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         },
     }
 
+    # first, so that a graph over the Cheeger cap fails before the spectral work
+    if not with_cheeger:
+        cheeger = _skipped("not requested (pass --cheeger)")
+    elif not connected:
+        cheeger = _skipped("graph is disconnected")
+    else:
+        cap = _size_cap(_DEFAULT_CHEEGER_CAP)
+        value, subset = invariants.cheeger_constant(g, max_n=cap)
+        cheeger = {"value": value, "subset": subset}
+
     inv = {}
     if connected:
         table = transmission_table(g)
@@ -120,24 +130,14 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
             invariants.algebraic_connectivity(g, tol))
         inv["normalized_laplacian_mu"] = _spectral_doc(
             invariants.normalized_laplacian_mu(g, tol))
-
-    if not with_cheeger:
-        inv["cheeger"] = _skipped("not requested (pass --cheeger)")
-    elif not connected:
-        inv["cheeger"] = _skipped("graph is disconnected")
-    else:
-        cap = _size_cap(_DEFAULT_CHEEGER_CAP)
-        value, subset = invariants.cheeger_constant(g, max_n=cap)
-        inv["cheeger"] = {"value": value, "subset": subset}
+    inv["cheeger"] = cheeger
     doc["invariants"] = inv
 
     if not with_bounds:
         doc["bounds"] = _skipped("bound report is produced by the verify command")
     else:
         report = invariants.bound_report(
-            g, tol,
-            cheeger_max_n=_size_cap(_DEFAULT_CHEEGER_CAP),
-            b_oracle_max_n=_size_cap(_DEFAULT_B_CAP))
+            g, tol, cheeger_max_n=_size_cap(_DEFAULT_CHEEGER_CAP))
         doc["bounds"] = {
             "entries": [_entry_doc(e) for e in report.entries],
             "all_hold": report.all_hold,
@@ -148,7 +148,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     elif not connected:
         doc["oracle"] = _skipped("graph is disconnected")
     else:
-        value, per_k, best_k, _ = lp.gamma_lp_details(g, tol)
+        value, per_k, best_k, _ = lp.gamma_lp_details(g)
         doc["oracle"] = {
             "gamma": value,
             "per_k": per_k,
@@ -223,10 +223,6 @@ def _emit(doc, as_json):
 
 def _cmd_compute(args):
     g = read_edge_list(args.input)
-    if args.cheeger and is_connected(g) and g.n > _size_cap(_DEFAULT_CHEEGER_CAP):
-        print(f"error: exact expansion capped at n <= {_size_cap(_DEFAULT_CHEEGER_CAP)}"
-              " (override with GAMMA_MAX_N)", file=sys.stderr)
-        return EXIT_CAP
     doc = build_result_document(
         g, command="compute", tol=args.tol, with_lp=args.lp,
         with_spectral=args.spectral, with_cheeger=args.cheeger)
@@ -313,11 +309,9 @@ def _cmd_bench(args):
             row["formula_gamma"] = float(cert.gamma)
         if args.method in ("lp", "both"):
             if g.n > lp_cap:
-                print(f"error: LP benchmark capped at n <= {lp_cap}"
-                      " (override with GAMMA_MAX_N)", file=sys.stderr)
-                return EXIT_CAP
+                raise TooLarge(f"LP benchmark capped at n <= {lp_cap}")
             t0 = time.perf_counter()
-            row["lp_gamma"] = lp.gamma_via_lp(g, args.tol)
+            row["lp_gamma"] = lp.gamma_via_lp(g)
             row["lp_seconds"] = time.perf_counter() - t0
         if row["formula_gamma"] is not None and row["lp_gamma"] is not None:
             row["agree"] = abs(row["formula_gamma"] - row["lp_gamma"]) <= 1e-6
@@ -340,7 +334,7 @@ def build_parser():
         description="Exact max-transmission connectivity invariant of simple graphs.")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--tol", type=float, default=1e-9,
-                        help="solver tolerance where applicable (default 1e-9)")
+                        help="residual tolerance of the spectral estimates (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="invariant and certificate of one graph")
@@ -382,7 +376,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} (override with GAMMA_MAX_N)", file=sys.stderr)
         return EXIT_CAP
     except (GammaConnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

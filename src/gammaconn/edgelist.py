@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import EdgeListParseError
 from .graph import Graph, from_edge_list
 
-_INT64_MAX = 2 ** 63 - 1  # vertex ids and counts are stored as int64
+MAX_VERTICES = 2 ** 20  # a graph's arrays grow with n whatever m is, so headers are capped
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -31,8 +31,9 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(line_no, f"non-integer header {raw!r}") from None
             if n < 1 or m < 0:
                 raise EdgeListParseError(line_no, f"invalid header values n={n} m={m}")
-            if max(n, m) > _INT64_MAX:
-                raise EdgeListParseError(line_no, f"header values n={n} m={m} exceed int64")
+            if n > MAX_VERTICES or m > n * (n - 1) // 2:
+                raise EdgeListParseError(line_no, f"header values n={n} m={m} exceed the caps"
+                                         f" n <= {MAX_VERTICES}, m <= n(n-1)/2")
             header = (n, m)
             continue
         n, m = header

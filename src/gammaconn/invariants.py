@@ -38,6 +38,7 @@ from .graph import (
 Rational = Fraction  # exact, always reduced, positive denominator
 
 _ZERO = Fraction(0)
+_POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence past this
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +203,27 @@ class SpectralEstimate:
     converged: bool
 
 
-def distance_spectral_radius(g: Graph, tol: float = 1e-10,
-                             max_iter: int = 100_000) -> SpectralEstimate:
+def distance_spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralEstimate:
     """Largest distance-matrix eigenvalue by power iteration on D + I.
 
     The +1 shift makes the iteration matrix entrywise positive, so the
     dominant eigenvalue is simple and the all-ones start vector cannot be
     orthogonal to its eigenvector. The shift is subtracted at the end and
-    the residual is reported against D itself. Memoised per (graph, tol,
-    max_iter).
+    the residual is reported against D itself. Memoised per (graph, tol).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not is_connected(g):
         raise DisconnectedGraph("the distance matrix needs a connected graph")
-    return _cached(g, ("distance_spectral_radius", tol, max_iter),
-                   lambda: _power_iteration(g, tol, max_iter))
+    return _cached(g, ("distance_spectral_radius", tol), lambda: _power_iteration(g, tol))
 
 
-def _power_iteration(g, tol, max_iter):
+def _power_iteration(g, tol):
     d = distance_matrix(g).astype(float)
     np.fill_diagonal(d, 1.0)  # D + I
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
     prev = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_ITERATIONS + 1):
         y = d @ x
         lam = float(x @ y)
         residual = float(np.linalg.norm(y - lam * x))  # equals ||D x - (lam-1) x||
@@ -233,7 +231,7 @@ def _power_iteration(g, tol, max_iter):
             return SpectralEstimate(lam - 1.0, residual, it, True)
         prev = lam
         x = y / np.linalg.norm(y)
-    raise NoConvergence(f"power iteration did not converge in {max_iter} iterations")
+    raise NoConvergence(f"power iteration did not converge in {_POWER_ITERATIONS} iterations")
 
 
 def _second_smallest_eigenpair(matrix, tol):

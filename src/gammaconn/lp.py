@@ -12,6 +12,8 @@ one restarts from the previous optimal basis on the same tableau
 (`_Tableau.restart`): the tableau is recomputed from the basis, one
 variable is freed, the other is driven to its new fixed value by a
 one-variable objective and fixed, and the real objective is repriced.
+
+The pivoting tolerance is fixed at `_TOL` = 1e-9; no caller sets it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ LESS_EQ = "<="
 EQUAL = "="
 GREATER_EQ = ">="
 
+_TOL = 1e-9  # reduced costs and ratio-test entries this small count as zero
 _FEAS_TOL = 1e-8
 
 
@@ -82,7 +85,7 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
+def _run_phase(tableau, basis, x, lo, hi, cap, steps):
     """Bland steps on a tableau of rows B^-1 A whose last row holds reduced costs.
 
     x holds every variable's value (nonbasic ones at a bound, free ones at
@@ -93,7 +96,7 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
     nonbasic = np.ones(len(x), dtype=bool)
     nonbasic[basis] = False
     while True:
-        improving = ((cost < -tol) & (x < hi)) | ((cost > tol) & (x > lo))
+        improving = ((cost < -_TOL) & (x < hi)) | ((cost > _TOL) & (x > lo))
         candidates = np.flatnonzero(improving & nonbasic)
         if not len(candidates):
             return OPTIMAL, steps
@@ -101,7 +104,7 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
         sign = 1.0 if cost[j] < 0 else -1.0
         alpha = sign * tableau[:-1, j]  # basic values fall by theta * alpha
         ratio = np.full(len(basis), math.inf)
-        down, up = alpha > tol, alpha < -tol
+        down, up = alpha > _TOL, alpha < -_TOL
         ratio[down] = (x[basis[down]] - lo[basis[down]]) / alpha[down]
         ratio[up] = (hi[basis[up]] - x[basis[up]]) / -alpha[up]
         np.maximum(ratio, 0.0, out=ratio)
@@ -113,7 +116,7 @@ def _run_phase(tableau, basis, x, lo, hi, tol, cap, steps):
             x[basis] -= span * alpha
             x[j] = hi[j] if sign > 0 else lo[j]
         else:
-            tied = np.flatnonzero(ratio <= theta + tol)
+            tied = np.flatnonzero(ratio <= theta + _TOL)
             leave = tied[np.argmin(basis[tied])]
             out = basis[leave]
             x[basis] -= ratio[leave] * alpha
@@ -135,7 +138,7 @@ class _Tableau:
     basis alone.
     """
 
-    def __init__(self, lp: LinearProgram, tol: float):
+    def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, len(lp.constraints)
         a = np.array([coeffs for coeffs, _, _ in lp.constraints], dtype=float).reshape(m, n)
         rhs = np.array([r for _, _, r in lp.constraints], dtype=float)
@@ -164,7 +167,6 @@ class _Tableau:
         self.lo = np.concatenate([lo, slack_lo, np.zeros(k)])
         self.hi = np.concatenate([hi, slack_hi, np.full(k, math.inf)])
         self.num_vars, self.num_rows, self.width = n, m, width
-        self.tol = tol
         self.cap = 200 * (m + width + 10)
         self.steps = 0
 
@@ -172,7 +174,7 @@ class _Tableau:
         """Reprice with `cost` (one entry per column) and run Bland steps to its optimum."""
         self.tableau[-1] = cost - cost[self.basis] @ self.tableau[:-1]
         status, self.steps = _run_phase(self.tableau, self.basis, self.x, self.lo, self.hi,
-                                        self.tol, self.cap, self.steps)
+                                        self.cap, self.steps)
         return status
 
     def solve(self, cost) -> LPSolution:
@@ -216,9 +218,9 @@ class _Tableau:
         self.lo[fix] = self.hi[fix] = value
 
 
-def _cold_start(lp: LinearProgram, tol: float) -> tuple[_Tableau, LPSolution]:
+def _cold_start(lp: LinearProgram) -> tuple[_Tableau, LPSolution]:
     """Solve `lp` from the slack basis; return its final tableau and the solution."""
-    t = _Tableau(lp, tol)
+    t = _Tableau(lp)
     n, m = t.num_vars, t.num_rows
     if t.width > n + m:
         cost = np.zeros(t.width)
@@ -231,7 +233,7 @@ def _cold_start(lp: LinearProgram, tol: float) -> tuple[_Tableau, LPSolution]:
     return t, t.solve(cost)
 
 
-def simplex_solve(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
+def simplex_solve(lp: LinearProgram) -> LPSolution:
     """Two-phase dense bounded-variable simplex with Bland's anti-cycling rule.
 
     Every variable keeps its own [lo, hi], so box bounds need no rows; a
@@ -241,7 +243,7 @@ def simplex_solve(lp: LinearProgram, tol: float = 1e-9) -> LPSolution:
     bounds gets an artificial; phase one minimizes their sum, phase two
     fixes them to [0, 0]. `iterations` counts pivots plus bound flips.
     """
-    return _cold_start(lp, tol)[1]
+    return _cold_start(lp)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +274,14 @@ def build_lp_k(g: Graph, k: int) -> LinearProgram:
     return LinearProgram(n + 1, tuple(objective), tuple(constraints), tuple(bounds))
 
 
-def solve_lp_k(g: Graph, k: int, tol: float = 1e-9) -> LPSolution:
-    sol = simplex_solve(build_lp_k(g, k), tol)
+def solve_lp_k(g: Graph, k: int) -> LPSolution:
+    sol = simplex_solve(build_lp_k(g, k))
     if sol.status != OPTIMAL:
         raise GammaConnError(f"pinned-vertex LP at k={k} reported {sol.status}")
     return sol
 
 
-def gamma_lp_details(g: Graph, tol: float = 1e-9):
+def gamma_lp_details(g: Graph):
     """All pinned-vertex optima: (minimum, per-vertex list, best vertex, best x).
 
     The programs for k = 0..n-1 share every row and differ only in which
@@ -294,7 +296,7 @@ def gamma_lp_details(g: Graph, tol: float = 1e-9):
     if not is_connected(g):
         raise DisconnectedGraph("the LP oracle mirrors the connected-only formula")
     n = g.n
-    tableau, sol = _cold_start(build_lp_k(g, 0), tol)
+    tableau, sol = _cold_start(build_lp_k(g, 0))
     cost = np.zeros(tableau.width)
     cost[n] = 1.0
     per_k = []
@@ -315,15 +317,15 @@ def gamma_lp_details(g: Graph, tol: float = 1e-9):
     return best, per_k, best_k, best_x
 
 
-def gamma_via_lp(g: Graph, tol: float = 1e-9) -> float:
+def gamma_via_lp(g: Graph) -> float:
     """Minimum over pinned vertices of the minimax program's optimum."""
-    return gamma_lp_details(g, tol)[0]
+    return gamma_lp_details(g)[0]
 
 
 # ---------------------------------------------------------------------------
 # l1 edge-variation oracle (tiny graphs only)
 
-def b_small_oracle(g: Graph, max_n: int = 12, tol: float = 1e-9) -> float:
+def b_small_oracle(g: Graph, max_n: int = 12) -> float:
     """Minimum total edge variation under zero sum and unit l1 norm.
 
     One LP per sign pattern: inside a fixed orthant the l1 norm is linear,
@@ -361,7 +363,7 @@ def b_small_oracle(g: Graph, max_n: int = 12, tol: float = 1e-9) -> float:
     bounds = [(0.0, 1.0)] * n + [(0.0, 0.0)] * n + [(0.0, 2.0)] * m
     bounds[1], bounds[n + 1] = (0.0, 0.0), (0.0, 1.0)
     lp = LinearProgram(num_vars, objective, tuple(rows), tuple(bounds))
-    tableau, sol = _cold_start(lp, tol)
+    tableau, sol = _cold_start(lp)
     cost = np.zeros(tableau.width)
     cost[:num_vars] = objective
     best = math.inf

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaconn import generate, graph, invariants
+from gammaconn import edgelist, generate, graph, invariants, lp
 from gammaconn.cli import main
 from gammaconn.edgelist import (
+    MAX_VERTICES,
     format_edge_list,
     parse_edge_list,
     read_edge_list,
@@ -19,8 +20,10 @@ from gammaconn.random_graphs import gnm_connected
 from conftest import counted, family, small_family_corpus
 
 
-# small vertex ids and counts, so no header asks for a large graph
+# small vertex ids and counts, or ones past the header cap, so no header
+# that parses asks for a large graph
 EDGE_LIST_TOKEN = st.sampled_from([str(i) for i in range(51)] + ["-1", "-7", "-50"]
+                                  + [str(MAX_VERTICES + 1), str(2 ** 63 - 1), str(10 ** 23)]
                                   + ["x", "n", "1.5", "0x1", "#", "# note", ""])
 # half the lines have the two tokens of a header or an edge
 EDGE_LIST_LINE = st.one_of(st.lists(EDGE_LIST_TOKEN, min_size=2, max_size=2),
@@ -62,6 +65,21 @@ class TestEdgeListFormat:
             parse_edge_list(doc)
         assert fragment in str(exc.value)
         assert exc.value.line_no >= 1
+
+    @pytest.mark.parametrize("doc,fragment", [
+        ("9223372036854775807 0\n", "n=9223372036854775807 m=0 exceed the caps"),
+        (f"{MAX_VERTICES + 1} 0\n", f"n={MAX_VERTICES + 1} m=0 exceed the caps"),
+        ("4 7\n0 1\n", "n=4 m=7 exceed the caps"),
+    ])
+    def test_oversized_header_rejected_before_building(self, doc, fragment, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("from_edge_list reached")
+
+        monkeypatch.setattr(edgelist, "from_edge_list", refuse)
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(doc)
+        assert exc.value.line_no == 1
+        assert f"line 1: header values {fragment}" in str(exc.value)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(EDGE_LIST_LINE, max_size=10), st.sampled_from(["\n", "\r\n"]))
@@ -151,6 +169,17 @@ class TestComputeCommand:
         code, _, err = run_cli(capsys, "compute", str(path), "--cheeger")
         assert code == 3
 
+    def test_tol_does_not_reach_the_simplex(self, tmp_path, capsys):
+        path = tmp_path / "pet.txt"
+        write_edge_list(family("petersen"), path)
+        oracles = []
+        for tol in ([], ["--tol", "0.1"]):
+            code, out, _ = run_cli(capsys, *tol, "--json", "compute", str(path), "--lp")
+            assert code == 0
+            oracles.append(json.loads(out)["oracle"])
+        assert oracles[1]["agrees"] is True
+        assert oracles[1] == oracles[0]
+
     def test_cap_override_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAMMA_MAX_N", "30")
         path = tmp_path / "c26.txt"
@@ -188,6 +217,29 @@ class TestVerifyCommand:
         assert code == 0
         exp = next(e for e in doc["bounds"]["entries"] if e["name"] == "expansion_upper")
         assert exp["holds"] and exp["lhs"] < exp["rhs"]
+
+    def test_cap_override_leaves_l1_oracle_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GAMMA_MAX_N", "20")
+        calls = []
+        monkeypatch.setattr(lp, "b_small_oracle", lambda *a, **k: calls.append((a, k)) or 0.0)
+        path = tmp_path / "c14.txt"
+        write_edge_list(family("cycle", 14), path)
+        code, out, _ = run_cli(capsys, "--json", "verify", str(path))
+        assert code == 0
+        assert calls == []
+        l1 = next(e for e in json.loads(out)["bounds"]["entries"]
+                  if e["name"] == "l1_variation_upper")
+        assert l1["skipped"] and l1["reason"] == "l1 oracle capped at n <= 12"
+
+    def test_cheeger_cap_exit_3_names_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("GAMMA_MAX_N", raising=False)
+        power = counted(monkeypatch, invariants, "_power_iteration")
+        path = tmp_path / "c30.txt"
+        write_edge_list(family("cycle", 30), path)
+        code, _, err = run_cli(capsys, "verify", str(path), "--spectral", "--cheeger")
+        assert code == 3
+        assert "override with GAMMA_MAX_N" in err
+        assert power == []  # the cap fails the call before the spectral work
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.txt"
