@@ -38,6 +38,7 @@ from .invariants import (
     SpectralEstimate,
     WitnessResiduals,
     algebraic_connectivity,
+    b_small_oracle,
     bound_report,
     cheeger_constant,
     distance_spectral_radius,
@@ -50,7 +51,6 @@ from .invariants import (
 from .lp import (
     LinearProgram,
     LPSolution,
-    b_small_oracle,
     build_lp_k,
     gamma_lp_details,
     gamma_via_lp,

@@ -15,7 +15,7 @@ import time
 
 from . import invariants, lp
 from .edgelist import read_edge_list, write_edge_list
-from .errors import GammaConnError, TooLarge
+from .errors import FixedLimit, GammaConnError, TooLarge
 from .families import FamilySpec, cartesian_product, generate
 # is_connected is unused here; perfbench/selftest.py checks that its tracer wraps cli.is_connected
 from .graph import is_connected, is_tree, transmission_table  # noqa: F401
@@ -376,7 +376,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TooLarge as exc:
-        print(f"error: {exc} (override with GAMMA_MAX_N)", file=sys.stderr)
+        hint = "" if isinstance(exc, FixedLimit) else " (override with GAMMA_MAX_N)"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_CAP
     except (GammaConnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

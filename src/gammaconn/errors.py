@@ -33,6 +33,10 @@ class TooLarge(GammaConnError):
     """The graph exceeds the size cap of an exact-enumeration routine."""
 
 
+class FixedLimit(TooLarge):
+    """The graph exceeds a limit built into a routine, which no cap setting lifts."""
+
+
 class InfeasibleVector(GammaConnError):
     """A candidate vector violates the zero-sum or unit-sup-norm constraint."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (
     DisconnectedGraph,
-    GammaConnError,
+    FixedLimit,
     InfeasibleVector,
     NoConvergence,
     TooLarge,
@@ -39,6 +39,7 @@ Rational = Fraction  # exact, always reduced, positive denominator
 
 _ZERO = Fraction(0)
 _POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence past this
+_L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +273,28 @@ def cheeger_constant(g: Graph, max_n: int = 24):
     Vertex 0 is pinned into S, which covers every bipartition once. Returns
     the float quotient of exact integers boundary / min(vol S, 2m - vol S)
     and the first minimising S in ascending bitmask order. The subset count
-    doubles per vertex, hence the hard size cap. Memoised per graph.
+    doubles per vertex, hence the size cap max_n. Whatever max_n is, n is
+    also limited to 48, a guard well inside the int64 subset masks.
+    Memoised per graph.
     """
-    if g.n > max_n or g.n > 48:  # 48: bitmask width guard, far beyond reachable cost
-        raise TooLarge(f"exact expansion enumeration capped at n <= {min(max_n, 48)}")
+    if g.n > 48:
+        raise FixedLimit("exact expansion enumeration capped at n <= 48")
+    if g.n > max_n:
+        raise TooLarge(f"exact expansion enumeration capped at n <= {max_n}")
     if g.n < 2:
         raise TooSmall("expansion needs a proper non-empty subset")
     if not is_connected(g):
         raise DisconnectedGraph("expansion of a disconnected graph is 0/trivial; not supported")
     value, subset = _cached(g, "cheeger_constant", lambda: _exact_cheeger(g))
     return value, list(subset)
+
+
+def _neighbour_masks(g):
+    """Neighbour bitmask of every vertex, as int64 (so n <= 63)."""
+    nbr = np.zeros(g.n, dtype=np.int64)
+    np.bitwise_or.at(nbr, g.edges[:, 0], 1 << g.edges[:, 1])
+    np.bitwise_or.at(nbr, g.edges[:, 1], 1 << g.edges[:, 0])
+    return nbr
 
 
 def _subset_tables(deg, nbr):
@@ -304,9 +317,7 @@ def _exact_cheeger(g):
     (one b past n = 42), cross doubles over the low vertices' neighbours in b.
     """
     n, h = g.n, (g.n + 1) // 2
-    nbr = np.zeros(n, dtype=np.int64)  # neighbour bitmask per vertex
-    np.bitwise_or.at(nbr, g.edges[:, 0], 1 << g.edges[:, 1])
-    np.bitwise_or.at(nbr, g.edges[:, 1], 1 << g.edges[:, 0])
+    nbr = _neighbour_masks(g)
     deg = g.degrees()
     vol_a, in_a = (t[1::2] for t in _subset_tables(deg[:h], nbr[:h] & ((1 << h) - 1)))
     vol_b, in_b = _subset_tables(deg[h:], nbr[h:] >> h)
@@ -332,6 +343,36 @@ def _exact_cheeger(g):
             row, col = divmod(i, len(vol_a))
             best_mask = (2 * col + 1) | int(b[row]) << h
     return best, tuple(v for v in range(n) if best_mask >> v & 1)
+
+
+def b_small_oracle(g: Graph) -> Fraction:
+    """Least total edge variation under zero sum and unit l1 norm, exactly.
+
+    The value is min over nonempty proper S of |dS| n / (2 |S| (n - |S|)),
+    attained by 1/(2|S|) on S and -1/(2(n - |S|)) off it. Proof: on each
+    cell with a fixed vertex order and sign split, the objective and both
+    constraints are linear, so the minimum sits at a vertex of the cell.
+    There at least n - 2 of the n order and sign constraints are tight, so
+    the vector takes a on a set P, -b on a disjoint set N and 0 elsewhere;
+    zero sum and unit norm give a = 1/(2|P|) and b = 1/(2|N|), and its
+    variation is |dP|/(2|P|) + |dN|/(2|N|). Moving the zeros into P gives
+    the two-valued vector on N's complement, moving them into N the one on
+    P; if both raised the variation, then |P||N| > (n - |N|)(n - |P|),
+    impossible since |P| + |N| < n. The subsets are enumerated by bitmask,
+    hence the cap of n <= 12.
+    """
+    if g.n < 2:
+        raise TooSmall("the l1 oracle needs at least 2 vertices")
+    if g.n > _L1_MAX_N:
+        raise FixedLimit(f"the l1 oracle is capped at n <= {_L1_MAX_N}")
+    if not is_connected(g):
+        raise DisconnectedGraph("the l1 oracle requires a connected graph")
+    n = g.n
+    vol, inner = _subset_tables(g.degrees(), _neighbour_masks(g))
+    size = np.bitwise_count(np.arange(1 << n))
+    fewest = np.full(n + 1, np.iinfo(np.int64).max)  # least boundary per |S|
+    np.minimum.at(fewest, size, vol - 2 * inner)
+    return min(Fraction(int(fewest[s]) * n, 2 * s * (n - s)) for s in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +441,7 @@ def _skipped_entry(name, relation, reason):
     )
 
 
-def bound_report(g: Graph, tol: float = 1e-10, *,
-                 cheeger_max_n: int = 24, b_oracle_max_n: int = 12) -> BoundReport:
+def bound_report(g: Graph, tol: float = 1e-10, *, cheeger_max_n: int = 24) -> BoundReport:
     """Evaluate every comparison bound against the exact invariant.
 
     Exact-rational bounds are compared exactly; spectral bounds use the
@@ -440,19 +480,13 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
     entries.append(_exact_entry(
         "wiener_upper", gam, Fraction(n * n, 2 * table.wiener), tr_regular))
 
-    # l1 edge-variation analogue vs (m/2) * invariant
-    if n > b_oracle_max_n:
+    # l1 edge-variation analogue vs (m/2) * invariant (exact)
+    if n > _L1_MAX_N:
         entries.append(_skipped_entry(
-            "l1_variation_upper", "<=", f"l1 oracle capped at n <= {b_oracle_max_n}"))
+            "l1_variation_upper", "<=", f"l1 oracle capped at n <= {_L1_MAX_N}"))
     else:
-        from . import lp
-
-        try:
-            b_val = lp.b_small_oracle(g, max_n=b_oracle_max_n)
-            entries.append(_float_entry(
-                "l1_variation_upper", b_val, float(Fraction(m, 2) * gam), False, None))
-        except GammaConnError as exc:
-            entries.append(_skipped_entry("l1_variation_upper", "<=", str(exc)))
+        entries.append(_exact_entry(
+            "l1_variation_upper", b_small_oracle(g), Fraction(m, 2) * gam, None))
 
     # squared 2-norm of the witness vs n/(n-1); equality iff complete (exact)
     norm_sq = sum((w * w for w in cert.witness), _ZERO)

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
 enumeration. Tests compare package output against these, never against
-itself.
+itself. The one exception, `naive_l1_lp`, runs the package simplex on a
+formulation that shares nothing with the subset formula it checks.
 """
 
 import math
@@ -81,6 +82,38 @@ def naive_l1_cut(n, edges):
         value = Fraction(cut * n, 2 * size * (n - size))
         if best is None or value < best:
             best = value
+    return best
+
+
+def naive_l1_lp(n, edges):
+    """The same l1 minimum as a float, from one cold LP per sign pattern.
+
+    Inside a fixed orthant |x_v| = s_v x_v is linear, so minimising
+    sum_e t_e subject to -t_e <= x_u - x_v <= t_e, sum x = 0 and
+    sum s_v x_v = 1 is a linear program. Negation swaps a pattern with its
+    complement, so s_0 = +1 is pinned; the all-positive pattern is
+    infeasible. The minimum over the 2^(n-1) patterns is the optimum.
+    """
+    from gammaconn.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
+
+    m = len(edges)
+    rows = []
+    for i, (u, v) in enumerate(edges):
+        for s in (1.0, -1.0):
+            row = [0.0] * (n + m)
+            row[u], row[v], row[n + i] = s, -s, -1.0
+            rows.append((tuple(row), "<=", 0.0))
+    rows.append((tuple([1.0] * n + [0.0] * m), "=", 0.0))
+    objective = tuple([0.0] * n + [1.0] * m)
+    best = math.inf
+    for mask in range(2 ** (n - 1)):
+        sign = [1.0] + [-1.0 if mask >> (v - 1) & 1 else 1.0 for v in range(1, n)]
+        norm = (tuple(sign + [0.0] * m), "=", 1.0)
+        bounds = [(0.0, 1.0) if s > 0 else (-1.0, 0.0) for s in sign] + [(0.0, 2.0)] * m
+        sol = simplex_solve(LinearProgram(n + m, objective, (*rows, norm), tuple(bounds)))
+        assert sol.status == (OPTIMAL if mask else INFEASIBLE)
+        if sol.status == OPTIMAL:
+            best = min(best, sol.objective)
     return best
 
 

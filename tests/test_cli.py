@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaconn import edgelist, generate, graph, invariants, lp
+from gammaconn import edgelist, generate, graph, invariants
 from gammaconn.cli import main
 from gammaconn.edgelist import (
     MAX_VERTICES,
@@ -169,6 +169,20 @@ class TestComputeCommand:
         code, _, err = run_cli(capsys, "compute", str(path), "--cheeger")
         assert code == 3
 
+    @pytest.mark.parametrize("override", [None, "60"], ids=["default", "override60"])
+    def test_cheeger_width_limit_names_no_override(self, tmp_path, capsys, monkeypatch,
+                                                   override):
+        # no GAMMA_MAX_N lifts the 48-vertex limit, so the message must not offer one
+        if override is None:
+            monkeypatch.delenv("GAMMA_MAX_N", raising=False)
+        else:
+            monkeypatch.setenv("GAMMA_MAX_N", override)
+        path = tmp_path / "c50.txt"
+        write_edge_list(family("cycle", 50), path)
+        code, _, err = run_cli(capsys, "compute", str(path), "--cheeger")
+        assert code == 3
+        assert "n <= 48" in err and "GAMMA_MAX_N" not in err
+
     def test_tol_does_not_reach_the_simplex(self, tmp_path, capsys):
         path = tmp_path / "pet.txt"
         write_edge_list(family("petersen"), path)
@@ -221,7 +235,8 @@ class TestVerifyCommand:
     def test_cap_override_leaves_l1_oracle_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAMMA_MAX_N", "20")
         calls = []
-        monkeypatch.setattr(lp, "b_small_oracle", lambda *a, **k: calls.append((a, k)) or 0.0)
+        monkeypatch.setattr(invariants, "b_small_oracle",
+                            lambda *a, **k: calls.append((a, k)) or 0.0)
         path = tmp_path / "c14.txt"
         write_edge_list(family("cycle", 14), path)
         code, out, _ = run_cli(capsys, "--json", "verify", str(path))

@@ -337,7 +337,7 @@ class TestBoundReport:
         assert bound_report(s6).entry("expansion_upper").skipped
 
     def test_caps_mark_skipped(self):
-        rep = bound_report(family("cycle", 14), b_oracle_max_n=12, cheeger_max_n=12)
+        rep = bound_report(family("cycle", 14), cheeger_max_n=12)
         assert rep.entry("l1_variation_upper").skipped
         assert rep.entry("expansion_vs_mu_upper").skipped
         assert rep.all_hold  # skipped entries do not fail the report
@@ -345,7 +345,7 @@ class TestBoundReport:
     def test_wiener_equality_iff_transmission_regular(self):
         for seed in range(8):
             g = gnp_connected(8, 0.45, seed=seed)
-            e = bound_report(g, b_oracle_max_n=2).entry("wiener_upper")
+            e = bound_report(g).entry("wiener_upper")
             assert e.equality_attained == is_transmission_regular(g)
             assert e.equality_attained == e.equality_expected
 
