@@ -70,7 +70,7 @@ def read_edge_list(path) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
+    lines.extend(f"{u} {v}" for u, v in g.edges.tolist())
     return "\n".join(lines) + "\n"
 
 

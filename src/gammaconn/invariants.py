@@ -40,6 +40,7 @@ Rational = Fraction  # exact, always reduced, positive denominator
 _ZERO = Fraction(0)
 _POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence past this
 _L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
+_CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 subset masks
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +67,6 @@ class GammaCertificate:
     @property
     def approx(self):
         return float(self.gamma)
-
-
-def _max_edge_diff(g, x):
-    best = 0  # int zero stays exact whether entries are Fractions or floats
-    for u, v in g.edges:
-        d = abs(x[u] - x[v])
-        if d > best:
-            best = d
-    return best
 
 
 def gamma(g: Graph) -> GammaCertificate:
@@ -136,22 +128,38 @@ def _gamma(g):
 def gamma_objective(g: Graph, x) -> float | Fraction:
     """Largest edge difference of a feasible vector (zero sum, sup norm 1).
 
-    Exact when handed exact rationals; any feasible x yields a value no
-    smaller than the graph's invariant. Feasibility is checked exactly when
-    every entry is rational (int or Fraction); with any float entry both
-    checks allow an absolute tolerance of 1e-9.
+    Any feasible x yields a value no smaller than the graph's invariant.
+    When every entry is rational (int, numpy int or Fraction) both checks
+    are exact and the value is a Fraction; for int-only input it is a whole
+    Fraction, equal under == to the int difference. The entries are scaled
+    to integers over their common denominator, and the edge differences are
+    taken in int64 when that denominator is below 2^62 (every difference is
+    then at most twice it), otherwise in Python ints (object dtype). With
+    any other entry, such as a float, both checks allow an absolute
+    tolerance of 1e-9 and the value is a float.
     """
     if len(x) != g.n:
         raise InfeasibleVector(f"vector length {len(x)} != vertex count {g.n}")
     vals = list(x)
-    total = sum(vals)
-    sup = max(abs(v) for v in vals)
-    tol = 0 if all(isinstance(v, numbers.Rational) for v in vals) else 1e-9
-    if abs(total) > tol:
-        raise InfeasibleVector(f"entries sum to {float(total)!r}, not 0")
-    if abs(sup - 1) > tol:
-        raise InfeasibleVector(f"sup norm is {float(sup)!r}, not 1")
-    return _max_edge_diff(g, vals)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    if all(isinstance(w, numbers.Rational) for w in vals):
+        den = math.lcm(*(int(w.denominator) for w in vals))
+        nums = [int(w.numerator) * (den // int(w.denominator)) for w in vals]
+        # checked on Python ints, before any fixed-width array exists
+        total, sup = sum(nums), max(map(abs, nums))
+        if total != 0:
+            raise InfeasibleVector(f"entries sum to {float(Fraction(total, den))!r}, not 0")
+        if sup != den:
+            raise InfeasibleVector(f"sup norm is {float(Fraction(sup, den))!r}, not 1")
+        arr = np.array(nums, dtype=np.int64 if den < 2 ** 62 else object)
+        return Fraction(int(np.abs(arr[u] - arr[v]).max(initial=0)), den)
+    arr = np.array(vals, dtype=float)
+    total, sup = float(arr.sum()), float(np.abs(arr).max())
+    if abs(total) > 1e-9:
+        raise InfeasibleVector(f"entries sum to {total!r}, not 0")
+    if abs(sup - 1) > 1e-9:
+        raise InfeasibleVector(f"sup norm is {sup!r}, not 1")
+    return float(np.abs(arr[u] - arr[v]).max(initial=0))
 
 
 def wiener_index(g: Graph) -> int:
@@ -274,11 +282,11 @@ def cheeger_constant(g: Graph, max_n: int = 24):
     the float quotient of exact integers boundary / min(vol S, 2m - vol S)
     and the first minimising S in ascending bitmask order. The subset count
     doubles per vertex, hence the size cap max_n. Whatever max_n is, n is
-    also limited to 48, a guard well inside the int64 subset masks.
-    Memoised per graph.
+    also limited to _CHEEGER_WIDTH (48), a guard well inside the int64
+    subset masks. Memoised per graph.
     """
-    if g.n > 48:
-        raise FixedLimit("exact expansion enumeration capped at n <= 48")
+    if g.n > _CHEEGER_WIDTH:
+        raise FixedLimit(f"exact expansion enumeration capped at n <= {_CHEEGER_WIDTH}")
     if g.n > max_n:
         raise TooLarge(f"exact expansion enumeration capped at n <= {max_n}")
     if g.n < 2:
@@ -504,21 +512,21 @@ def bound_report(g: Graph, tol: float = 1e-10, *, cheeger_max_n: int = 24) -> Bo
 
     # for regular graphs: expansion vs sqrt(n-1) * invariant (strict); the
     # one exact expansion also serves the two-sided comparison below
-    cheeger_val = cheeger_constant(g, max_n=cheeger_max_n)[0] if n <= cheeger_max_n else None
+    cheeger_cap = min(cheeger_max_n, _CHEEGER_WIDTH)
+    cheeger_val = cheeger_constant(g, max_n=cheeger_cap)[0] if n <= cheeger_cap else None
+    capped = f"exact expansion capped at n <= {cheeger_cap}"
     if not regular:
         entries.append(_skipped_entry("expansion_upper", "<", "graph is not regular"))
-    elif n > cheeger_max_n:
-        entries.append(_skipped_entry(
-            "expansion_upper", "<", f"exact expansion capped at n <= {cheeger_max_n}"))
+    elif n > cheeger_cap:
+        entries.append(_skipped_entry("expansion_upper", "<", capped))
     else:
         entries.append(_float_entry(
             "expansion_upper", cheeger_val, math.sqrt(n - 1) * float(gam), True, None))
 
     # two-sided expansion vs normalized-Laplacian gap
-    if n > cheeger_max_n:
-        reason = f"exact expansion capped at n <= {cheeger_max_n}"
-        entries.append(_skipped_entry("expansion_vs_mu_upper", "<=", reason))
-        entries.append(_skipped_entry("expansion_vs_mu_lower", "<", reason))
+    if n > cheeger_cap:
+        entries.append(_skipped_entry("expansion_vs_mu_upper", "<=", capped))
+        entries.append(_skipped_entry("expansion_vs_mu_lower", "<", capped))
     else:
         try:
             mu = normalized_laplacian_mu(g, tol)

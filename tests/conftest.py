@@ -3,12 +3,14 @@
 Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
-enumeration. Tests compare package output against these, never against
-itself. The one exception, `naive_l1_lp`, runs the package simplex on a
-formulation that shares nothing with the subset formula it checks.
+enumeration, the witness objective from a per-edge loop. Tests compare
+package output against these, never against itself. The one exception,
+`naive_l1_lp`, runs the package simplex on a formulation that shares
+nothing with the subset formula it checks.
 """
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from gammaconn import FamilySpec, from_edge_list, generate
+from gammaconn.errors import InfeasibleVector
 
 INF = 10 ** 9
 
@@ -114,6 +117,29 @@ def naive_l1_lp(n, edges):
         assert sol.status == (OPTIMAL if mask else INFEASIBLE)
         if sol.status == OPTIMAL:
             best = min(best, sol.objective)
+    return best
+
+
+def naive_objective(n, edges, x):
+    """Largest edge difference of a feasible x, one entry pair per edge.
+
+    Entries are combined as given, so all-rational input stays exact and is
+    checked exactly; any other entry allows a 1e-9 tolerance on the zero-sum
+    and sup-norm checks. Raises InfeasibleVector as the package does.
+    """
+    if len(x) != n:
+        raise InfeasibleVector(f"vector length {len(x)} != vertex count {n}")
+    vals = list(x)
+    total = sum(vals)
+    sup = max(abs(v) for v in vals)
+    tol = 0 if all(isinstance(v, numbers.Rational) for v in vals) else 1e-9
+    if abs(total) > tol:
+        raise InfeasibleVector(f"entries sum to {float(total)!r}, not 0")
+    if abs(sup - 1) > tol:
+        raise InfeasibleVector(f"sup norm is {float(sup)!r}, not 1")
+    best = 0
+    for u, v in edges:
+        best = max(best, abs(vals[u] - vals[v]))
     return best
 
 

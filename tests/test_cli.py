@@ -41,6 +41,10 @@ class TestEdgeListFormat:
     def test_byte_stable_output(self):
         text = format_edge_list(family("path", 3))
         assert text == "3 2\n0 1\n1 2\n"
+        text = format_edge_list(family("torus", 3, 4))  # multi-digit vertex ids
+        assert text == ("12 24\n0 1\n0 3\n0 4\n0 8\n1 2\n1 5\n1 9\n2 3\n2 6\n2 10\n"
+                        "3 7\n3 11\n4 5\n4 7\n4 8\n5 6\n5 9\n6 7\n6 10\n7 11\n8 9\n"
+                        "8 11\n9 10\n10 11\n")
 
     def test_comments_and_blanks_accepted(self):
         g = parse_edge_list("# a path\n\n3 2\n0 1  # first\n\n1 2\n")
@@ -255,6 +259,19 @@ class TestVerifyCommand:
         assert code == 3
         assert "override with GAMMA_MAX_N" in err
         assert power == []  # the cap fails the call before the spectral work
+
+    def test_override_past_width_limit_skips_expansion(self, tmp_path, capsys, monkeypatch):
+        # GAMMA_MAX_N cannot lift the 48-vertex limit, so verify skips the
+        # expansion entries there instead of failing with exit 3
+        monkeypatch.setenv("GAMMA_MAX_N", "60")
+        path = tmp_path / "c50.txt"
+        write_edge_list(family("cycle", 50), path)
+        code, out, err = run_cli(capsys, "--json", "verify", str(path))
+        assert code == 0, err
+        entries = {e["name"]: e for e in json.loads(out)["bounds"]["entries"]}
+        for name in ("expansion_upper", "expansion_vs_mu_upper", "expansion_vs_mu_lower"):
+            assert entries[name]["skipped"]
+            assert entries[name]["reason"] == "exact expansion capped at n <= 48"
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.txt"

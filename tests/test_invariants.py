@@ -12,6 +12,7 @@ from gammaconn import (
     from_edge_list,
     gamma,
     gamma_objective,
+    generate,
     is_connected,
     is_transmission_regular,
     normalized_laplacian_mu,
@@ -30,9 +31,16 @@ from gammaconn.invariants import (
     laplacian_matrix,
     normalized_laplacian_matrix,
 )
-from gammaconn.random_graphs import gnp, gnp_connected, random_tree
+from gammaconn.random_graphs import gnp, gnp_connected, gnp_disconnected, random_tree
 
-from conftest import edge_list, family, naive_cheeger, naive_gamma
+from conftest import (
+    edge_list,
+    family,
+    naive_cheeger,
+    naive_gamma,
+    naive_objective,
+    small_family_corpus,
+)
 
 
 class TestGamma:
@@ -128,6 +136,107 @@ class TestGammaObjective:
     def test_length_mismatch(self):
         with pytest.raises(InfeasibleVector):
             gamma_objective(family("path", 3), [1.0, -1.0])
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the class of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+def _feasible_rational(rng, dens):
+    """A zero-sum, sup-norm-1 vector of Fractions drawn over the given denominators."""
+    while True:
+        y = [Fraction(int(rng.integers(-d, d + 1)), d) for d in dens]
+        mean = sum(y) / len(y)
+        z = [v - mean for v in y]
+        sup = max(map(abs, z))
+        if sup:
+            return [v / sup for v in z]
+
+
+class TestObjectiveAgainstOracle:
+    """gamma_objective equals the per-edge loop in conftest exactly, or raises as it does."""
+
+    def assert_agrees(self, g, x):
+        expected = _outcome(naive_objective, g.n, edge_list(g), x)
+        got = _outcome(gamma_objective, g, x)
+        if isinstance(expected, type):
+            assert got is expected, (g, x)
+        else:
+            assert got == expected, (g, x)
+            exact = all(isinstance(v, (int, Fraction, np.integer)) for v in x)
+            assert type(got) is (Fraction if exact else float)
+        return got
+
+    def test_witnesses_of_family_and_random_corpora(self):
+        graphs = [generate(spec) for spec in small_family_corpus()]
+        rng = np.random.default_rng(20240806)
+        graphs += [gnp_connected(int(rng.integers(2, 17)), 0.4, rng) for _ in range(100)]
+        graphs += [gnp_disconnected(int(rng.integers(4, 21)), 0.15, rng) for _ in range(30)]
+        graphs.append(from_edge_list(3, []))
+        for g in graphs:
+            cert = gamma(g)
+            assert self.assert_agrees(g, cert.witness) == cert.gamma
+            self.assert_agrees(g, [float(w) for w in cert.witness])
+
+    @pytest.mark.parametrize("huge", [False, True], ids=["small_den", "huge_den"])
+    def test_seeded_rational_vectors(self, huge):
+        rng = np.random.default_rng(20240807 + huge)
+        for _ in range(60):
+            n = int(rng.integers(3, 13))  # on 2 vertices every feasible x is (1, -1)
+            g = gnp(n, 0.5, rng)
+            if huge:  # consecutive integers are coprime, so the lcm is far past 2^62
+                dens = [2 ** 62 + int(rng.integers(0, 1000)) + i for i in range(n)]
+            else:
+                dens = [int(d) for d in rng.integers(1, 13, size=n)]
+            x = _feasible_rational(rng, dens)
+            assert (math.lcm(*(v.denominator for v in x)) >= 2 ** 62) == huge
+            self.assert_agrees(g, x)
+            # infeasible: the sum is off, the sup norm is off, or both
+            eps = Fraction(1, dens[0] * 7 + 1)
+            i = int(rng.integers(0, n))
+            for bad in (x[:i] + [x[i] + eps] + x[i + 1:],
+                        [v * (1 - eps) for v in x],
+                        [v * (1 + eps) for v in x],
+                        x[:-1]):
+                assert _outcome(gamma_objective, g, bad) is InfeasibleVector
+                self.assert_agrees(g, bad)
+
+    def test_int_and_numpy_int_entries(self):
+        c4, p3 = family("cycle", 4), family("path", 3)
+        for g, x in [(c4, [1, -1, 1, -1]),
+                     (c4, [1, 0, -1, 0]),
+                     (c4, np.array([1, 0, 0, -1], dtype=np.int64)),
+                     (c4, [np.int32(-1), np.int32(1), np.int32(0), np.int32(0)]),
+                     (p3, [1, 0, -1]),
+                     (p3, np.array([0, 1, -1], dtype=np.int8)),
+                     (p3, [1, 1, -1]),
+                     (p3, np.array([2, 0, -2])),
+                     (p3, [Fraction(1), np.int64(0), -1])]:
+            self.assert_agrees(g, x)
+        assert gamma_objective(c4, [1, -1, 1, -1]) == 2
+
+    def test_huge_denominator_literal(self):
+        tiny = Fraction(1, 2 ** 70)
+        x = [Fraction(1), -1 + tiny, -tiny]
+        assert self.assert_agrees(family("path", 3), x) == 2 - tiny
+        assert self.assert_agrees(family("cycle", 3), x) == 2 - tiny
+
+    def test_sup_check_precedes_any_fixed_width_array(self):
+        # a scaled numerator past int64 must fail the sup check, not overflow
+        with pytest.raises(InfeasibleVector, match="sup norm"):
+            gamma_objective(family("path", 3), [2 ** 70, 0, -2 ** 70])
+        self.assert_agrees(family("path", 3), [2 ** 70, 0, -2 ** 70])
+
+    def test_float_entries_keep_the_tolerance(self):
+        p2 = family("path", 2)
+        for x in ([1.0, -1.0 + 1e-12], [1.0, -1.0 + 1e-6], [1.0 + 1e-6, -1.0 - 1e-6],
+                  [Fraction(1), -1.0], [1, -0.5]):
+            self.assert_agrees(p2, x)
+        assert gamma_objective(from_edge_list(2, []), [1.0, -1.0]) == 0
 
 
 class TestWiener:
