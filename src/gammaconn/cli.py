@@ -25,7 +25,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-_DEFAULT_CHEEGER_CAP = 24
 _DEFAULT_BENCH_LP_CAP = 60
 
 _BENCH_FAMILIES = ("path", "cycle", "complete", "star", "hypercube")
@@ -101,7 +100,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     elif not connected:
         cheeger = _skipped("graph is disconnected")
     else:
-        cap = _size_cap(_DEFAULT_CHEEGER_CAP)
+        cap = _size_cap(invariants._CHEEGER_MAX_N)
         value, subset = invariants.cheeger_constant(g, max_n=cap)
         cheeger = {"value": value, "subset": subset}
 
@@ -111,7 +110,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         inv["wiener"] = table.wiener
         inv["max_transmission"] = table.d_max
         inv["transmission_argmax"] = list(table.argmax)
-        inv["transmission_regular"] = bool((table.tr == table.tr[0]).all())
+        inv["transmission_regular"] = invariants.is_transmission_regular(g)
     else:
         inv.update((key, _skipped("graph is disconnected")) for key in _TRANSMISSION_KEYS)
 
@@ -137,7 +136,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         doc["bounds"] = _skipped("bound report is produced by the verify command")
     else:
         report = invariants.bound_report(
-            g, tol, cheeger_max_n=_size_cap(_DEFAULT_CHEEGER_CAP))
+            g, tol, cheeger_max_n=_size_cap(invariants._CHEEGER_MAX_N))
         doc["bounds"] = {
             "entries": [_entry_doc(e) for e in report.entries],
             "all_hold": report.all_hold,
@@ -148,7 +147,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     elif not connected:
         doc["oracle"] = _skipped("graph is disconnected")
     else:
-        value, per_k, best_k, _ = lp.gamma_lp_details(g)
+        value, per_k, best_k = lp.gamma_lp_details(g)
         doc["oracle"] = {
             "gamma": value,
             "per_k": per_k,

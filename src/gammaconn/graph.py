@@ -11,7 +11,6 @@ arrays) and readers racing on a missing key all get the first value stored.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,21 +128,29 @@ def _cached(g, key, compute):
     return g._memo[key] if key in g._memo else g._memo.setdefault(key, compute())
 
 
-def _bfs(g, source):
-    # plain single-source deque BFS over native int adjacency lists
-    dist = [UNREACHABLE] * g.n
+def _bfs(g, source, dist):
+    """BFS over the component of source; returns the visit order, source first.
+
+    Fills dist, the caller's list (UNREACHABLE where not yet visited), with
+    hop counts from source. The order list doubles as the queue.
+    """
     dist[source] = 0
     adj = g._adj
-    queue = deque([source])
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        v = pop()
+    order = [source]
+    push = order.append
+    for v in order:
         dv1 = dist[v] + 1
         for w in adj[v]:
             if dist[w] < 0:
                 dist[w] = dv1
                 push(w)
+    return order
+
+
+def _distances(g, source):
+    """Hop counts from source as an int64 array, UNREACHABLE off its component."""
+    dist = [UNREACHABLE] * g.n
+    _bfs(g, source, dist)
     return np.array(dist, dtype=np.int64)
 
 
@@ -195,7 +202,7 @@ def bfs_distances(g, u):
     """Exact shortest-path hop counts from u; UNREACHABLE marks absent paths."""
     if not 0 <= u < g.n:
         raise VertexOutOfRange(f"vertex {u} not in [0, {g.n})")
-    dist = _bfs(g, u)
+    dist = _distances(g, u)
     reachable = dist >= 0
     ecc = int(dist[reachable].max())
     tr = int(dist.sum()) if bool(reachable.all()) else None
@@ -207,18 +214,24 @@ def is_connected(g):
 
     Memoised per graph.
     """
-    return _cached(g, "is_connected", lambda: g.n == 1 or bool((_bfs(g, 0) >= 0).all()))
+    return _cached(g, "is_connected", lambda: len(_bfs(g, 0, [UNREACHABLE] * g.n)) == g.n)
 
 
 def components(g):
-    """Connected components as sorted vertex lists, ordered by smallest member."""
+    """Connected components as sorted vertex lists, ordered by smallest member.
+
+    One dist list serves every source, so each vertex is visited once and
+    the whole partition costs O(n + m).
+    """
+    dist = [UNREACHABLE] * g.n
+    label = [0] * g.n
     out = []
-    seen = np.zeros(g.n, dtype=bool)
     for v in range(g.n):
-        if not seen[v]:
-            member = _bfs(g, v) >= 0
-            seen |= member
-            out.append([int(w) for w in np.flatnonzero(member)])
+        if dist[v] < 0:
+            for w in _bfs(g, v, dist):
+                label[w] = len(out)
+            out.append([])
+        out[label[v]].append(v)
     return out
 
 
@@ -265,7 +278,7 @@ def shells(g, u):
     """Partition of V by distance from u: list of sorted vertex lists, index = distance."""
     if not 0 <= u < g.n:
         raise VertexOutOfRange(f"vertex {u} not in [0, {g.n})")
-    dist = _bfs(g, u)
+    dist = _distances(g, u)
     if (dist < 0).any():
         raise DisconnectedGraph("shells are defined for connected graphs only")
     ecc = int(dist.max())
@@ -290,49 +303,32 @@ def is_tree(g):
 
 
 def tree_transmissions(g):
-    """Transmission table of a tree in linear time by two-pass rerooting.
+    """Transmission table of a tree in linear time by rerooting.
 
-    Pass one accumulates subtree sizes and root-to-subtree distance sums
-    bottom-up; pass two rewrites the sum when the root moves across an edge
-    (tr[child] = tr[parent] + n - 2*size[child]). Output matches
+    One _bfs from vertex 0 gives the visit order and the depths, which are
+    vertex 0's distances, so tr[0] = sum of dist; each edge's parent is its
+    endpoint of smaller dist. Subtree sizes are summed over the reversed
+    order, then the root moves across each edge top-down:
+    tr[child] = tr[parent] + n - 2*size[child]. Output matches
     transmission_table entrywise.
     """
     if not is_tree(g):
         raise NotATree("tree_transmissions requires a connected graph with m = n - 1")
     n = g.n
-    if n == 1:
-        return _table_from_transmissions(np.zeros(1, dtype=np.int64))
-    indptr, indices = g._indptr, g._indices
-    parent = np.full(n, -1, dtype=np.int64)
-    order = np.empty(n, dtype=np.int64)
-    order[0] = 0
-    parent[0] = 0
-    pos = 0
-    filled = 1
-    while pos < filled:
-        v = order[pos]
-        pos += 1
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            if parent[w] < 0:
-                parent[w] = v
-                order[filled] = w
-                filled += 1
-    parent[0] = -1
-
-    size = np.ones(n, dtype=np.int64)
-    down = np.zeros(n, dtype=np.int64)  # sum of distances to own subtree
-    for i in range(n - 1, 0, -1):
-        v = order[i]
-        p = parent[v]
-        size[p] += size[v]
-        down[p] += down[v] + size[v]
-
-    tr = np.zeros(n, dtype=np.int64)
-    tr[0] = down[0]
-    for i in range(1, n):
-        v = order[i]
+    dist = [UNREACHABLE] * n
+    order = _bfs(g, 0, dist)
+    parent = [0] * n
+    for u, v in g.edges.tolist():
+        up, child = (u, v) if dist[u] < dist[v] else (v, u)
+        parent[child] = up
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    tr = [0] * n
+    tr[0] = sum(dist)
+    for v in order[1:]:
         tr[v] = tr[parent[v]] + n - 2 * size[v]
-    return _table_from_transmissions(tr)
+    return _table_from_transmissions(np.array(tr, dtype=np.int64))
 
 
 def distance_matrix(g):

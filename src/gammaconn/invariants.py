@@ -26,8 +26,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    _bfs,
     _cached,
+    _distances,
     components,
     distance_matrix,
     is_connected,
@@ -41,6 +41,7 @@ _ZERO = Fraction(0)
 _POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence past this
 _L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
 _CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 subset masks
+_CHEEGER_MAX_N = 24  # default size cap of the exact expansion (GAMMA_MAX_N in the CLI)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +106,7 @@ def _gamma(g):
     table = transmission_table(g)
     value = Fraction(g.n, table.d_max)
     u = table.argmax[0]
-    dist = _bfs(g, u)
+    dist = _distances(g, u)
     ecc = int(dist.max())
     shell_sizes = np.bincount(dist, minlength=ecc + 1)
     shell_vals = [1 - r * value for r in range(ecc + 1)]
@@ -154,6 +155,8 @@ def gamma_objective(g: Graph, x) -> float | Fraction:
         arr = np.array(nums, dtype=np.int64 if den < 2 ** 62 else object)
         return Fraction(int(np.abs(arr[u] - arr[v]).max(initial=0)), den)
     arr = np.array(vals, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InfeasibleVector("entries are not all finite")
     total, sup = float(arr.sum()), float(np.abs(arr).max())
     if abs(total) > 1e-9:
         raise InfeasibleVector(f"entries sum to {total!r}, not 0")
@@ -275,7 +278,7 @@ def normalized_laplacian_mu(g: Graph, tol: float = 1e-10) -> SpectralEstimate:
 # ---------------------------------------------------------------------------
 # expansion
 
-def cheeger_constant(g: Graph, max_n: int = 24):
+def cheeger_constant(g: Graph, max_n: int = _CHEEGER_MAX_N):
     """Exact edge-expansion constant by enumerating all vertex subsets.
 
     Vertex 0 is pinned into S, which covers every bipartition once. Returns
@@ -449,7 +452,8 @@ def _skipped_entry(name, relation, reason):
     )
 
 
-def bound_report(g: Graph, tol: float = 1e-10, *, cheeger_max_n: int = 24) -> BoundReport:
+def bound_report(g: Graph, tol: float = 1e-10, *,
+                 cheeger_max_n: int = _CHEEGER_MAX_N) -> BoundReport:
     """Evaluate every comparison bound against the exact invariant.
 
     Exact-rational bounds are compared exactly; spectral bounds use the
@@ -466,7 +470,7 @@ def bound_report(g: Graph, tol: float = 1e-10, *, cheeger_max_n: int = 24) -> Bo
     cert = gamma(g)
     gam = cert.gamma
     table = transmission_table(g)
-    tr_regular = bool((table.tr == table.tr[0]).all())
+    tr_regular = is_transmission_regular(g)
     degs = g.degrees()
     regular = bool((degs == degs[0]).all())
     tree = is_tree(g)

@@ -247,12 +247,11 @@ def _pinned_duals(g: Graph):
 
 
 def gamma_lp_details(g: Graph):
-    """All pinned-vertex optima: (minimum, per-vertex list, best vertex, best x).
+    """All pinned-vertex optima: (minimum, per-vertex list, best vertex).
 
     Each program k is solved cold in dual form (`_pinned_duals`): n + 1
     rows instead of the primal's 2m + 1, with the same optimum by strong
-    duality. best x comes from one cold primal solve at the best vertex,
-    the first minimiser.
+    duality. The best vertex is the first minimiser.
     """
     if g.n < 2:
         raise TooSmall("the LP oracle needs at least 2 vertices")
@@ -269,7 +268,7 @@ def gamma_lp_details(g: Graph):
         if per_k[k] < best - 1e-12:
             best = per_k[k]
             best_k = k
-    return best, per_k, best_k, solve_lp_k(g, best_k).assignment[:g.n]
+    return best, per_k, best_k
 
 
 def gamma_via_lp(g: Graph) -> float:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gammaconn import (
     UNREACHABLE,
     bfs_distances,
     components,
+    gamma,
     diameter,
     distance_matrix,
     from_edge_list,
@@ -89,6 +92,19 @@ class TestBfs:
             want = [d if d < 10 ** 9 else UNREACHABLE for d in oracle[u]]
             assert got.tolist() == want
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_visit_order(self, seed):
+        # each reachable vertex once, source first, distances never decreasing
+        g = gnp(25, 0.08, seed=seed)
+        oracle = naive_distances(g.n, edge_list(g))
+        for u in range(0, 25, 6):
+            dist = [UNREACHABLE] * g.n
+            order = graph._bfs(g, u, dist)
+            assert order[0] == u
+            assert sorted(order) == [v for v in range(g.n) if oracle[u][v] < INF]
+            assert all(dist[a] <= dist[b] for a, b in zip(order, order[1:]))
+            assert dist == [d if d < INF else UNREACHABLE for d in oracle[u]]
+
     def test_both_implementations_agree(self):
         # the single-source BFS and, on connected draws, the all-sources
         # kernel, each against the Floyd-Warshall oracle
@@ -111,6 +127,27 @@ class TestConnectivity:
     def test_components(self, two_k2):
         assert components(two_k2) == [[0, 1], [2, 3]]
         assert components(from_edge_list(3, [])) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("g", [gnp(20, 0.08, seed=s) for s in range(8)]
+                             + [from_edge_list(7, []), from_edge_list(1, [])])
+    def test_components_match_oracle(self, g):
+        # the component of v is the set of vertices at finite distance from v
+        oracle = naive_distances(g.n, edge_list(g))
+        want = []
+        for v in range(g.n):
+            if not any(v in c for c in want):
+                want.append([w for w in range(g.n) if oracle[v][w] < INF])
+        assert components(g) == want
+        assert is_connected(g) == (len(want) == 1)
+
+    def test_edgeless_graph_within_budget(self):
+        # one visit per vertex; a partition that scans an n-array per component
+        # needs about 40 s on this graph
+        g = from_edge_list(50_000, [])
+        start = time.perf_counter()
+        cert = gamma(g)
+        assert time.perf_counter() - start < 5.0
+        assert cert.gamma == 0 and cert.witness_valid
 
 
 class TestTransmissionTable:
@@ -222,6 +259,17 @@ class TestPendantsAndTrees:
         assert tree_transmissions(family("path", 5)).tr.tolist() == [10, 7, 6, 7, 10]
         assert tree_transmissions(family("star", 6)).tr.tolist() == [5, 9, 9, 9, 9, 9]
         assert tree_transmissions(family("path", 2)).tr.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("t", [
+        from_edge_list(1, []), family("path", 2), family("path", 3), family("path", 17),
+        family("star", 3), family("star", 12), from_edge_list(5, [(3, 4), (2, 3), (0, 4), (1, 2)]),
+    ] + [random_tree(n, seed=n) for n in (4, 9, 25, 40)])
+    def test_tree_transmissions_match_floyd_warshall(self, t):
+        want = [sum(row) for row in naive_distances(t.n, edge_list(t))]
+        table = tree_transmissions(t)
+        assert table.tr.tolist() == want
+        assert table.d_max == max(want) and table.wiener == sum(want) // 2
+        assert table.argmax == tuple(v for v in range(t.n) if want[v] == max(want))
 
     def test_tree_transmissions_rejects_non_tree(self, c6, two_k2):
         with pytest.raises(NotATree):

@@ -137,6 +137,15 @@ class TestGammaObjective:
         with pytest.raises(InfeasibleVector):
             gamma_objective(family("path", 3), [1.0, -1.0])
 
+    def test_nan_entry_rejected(self):
+        # neither tolerance check fires on NaN, so finiteness is checked first
+        with pytest.raises(InfeasibleVector, match="finite"):
+            gamma_objective(family("path", 3), [1.0, math.nan, -1.0])
+
+    def test_inf_entry_rejected(self):
+        with pytest.raises(InfeasibleVector):
+            gamma_objective(family("path", 3), [1.0, math.inf, -1.0])
+
 
 def _outcome(fn, *args):
     """The value of fn(*args), or the class of the exception it raised."""

@@ -226,8 +226,9 @@ class TestWarmStartedPinnedOracle:
     @pytest.mark.parametrize("seed", range(8))
     def test_per_k_match_cold_solves(self, seed):
         g = gnp_connected(3 + seed % 6, 0.45, seed=50 + seed)
-        best, per_k, best_k, best_x = gamma_lp_details(g)
+        best, per_k, best_k = gamma_lp_details(g)
         cold = [solve_lp_k(g, k).objective for k in range(g.n)]
+        best_x = solve_lp_k(g, best_k).assignment[:g.n]
         assert per_k == pytest.approx(cold, abs=1e-9)
         assert best == per_k[best_k] <= min(per_k) + 1e-12
         # the first minimiser, ties going to the smaller vertex
@@ -248,10 +249,10 @@ class TestWarmStartedPinnedOracle:
                                    gnp_connected(7, 0.4, seed=3)],
                              ids=["path2", "petersen", "gnp7"])
     def test_one_simplex_solve_per_program(self, monkeypatch, g):
-        # n dual programs plus one primal for the best vector, and nothing else
+        # one dual program per pinned vertex, and nothing else
         solves = counted(monkeypatch, lp_module, "simplex_solve")
         gamma_lp_details(g)
-        assert len(solves) == g.n + 1
+        assert len(solves) == g.n
 
 
 class TestGammaViaLp:
@@ -272,7 +273,7 @@ class TestGammaViaLp:
         for seed in range(5):
             g = gnp_connected(7, 0.4, seed=30 + seed)
             value = float(gamma(g).gamma)
-            best, per_k, best_k, best_x = gamma_lp_details(g)
+            best, per_k, best_k = gamma_lp_details(g)
             assert all(v >= value - 1e-6 for v in per_k)
             assert best == pytest.approx(value, abs=1e-6)
             # observation (not asserted as an invariant by itself): the
@@ -283,7 +284,7 @@ class TestGammaViaLp:
 
     def test_best_vector_is_feasible(self):
         g = family("cycle", 5)
-        _, _, _, x = gamma_lp_details(g)
+        x = solve_lp_k(g, gamma_lp_details(g)[2]).assignment[:g.n]
         assert abs(float(np.sum(x))) <= 1e-8
         assert abs(np.abs(x).max() - 1.0) <= 1e-8
 
