@@ -209,12 +209,18 @@ def bfs_distances(g, u):
     return DistanceProfile(source=u, dist=dist, eccentricity=ecc, transmission=tr)
 
 
-def is_connected(g):
-    """True iff one BFS from vertex 0 reaches all n vertices (n=1 is connected).
+def _root_bfs(g):
+    """Vertex 0's BFS as read-only tuples (order, dist); memoised per graph."""
+    def run():
+        dist = [UNREACHABLE] * g.n
+        order = _bfs(g, 0, dist)
+        return tuple(order), tuple(dist)
+    return _cached(g, "root_bfs", run)
 
-    Memoised per graph.
-    """
-    return _cached(g, "is_connected", lambda: len(_bfs(g, 0, [UNREACHABLE] * g.n)) == g.n)
+
+def is_connected(g):
+    """True iff vertex 0's memoised BFS reaches all n vertices (n=1 is connected)."""
+    return len(_root_bfs(g)[0]) == g.n
 
 
 def components(g):
@@ -254,9 +260,11 @@ def _table_from_transmissions(tr):
 
 
 def transmission_table(g):
-    """All vertex transmissions from one bit-parallel all-sources BFS.
+    """All vertex transmissions: O(n) rerooting on trees, else the all-sources BFS.
 
-    Each level adds level * popcount(nxt[v]) to tr[v]. Working memory is one
+    A connected graph with m = n - 1 is a tree and goes to tree_transmissions.
+    Every other graph takes the bit-parallel kernel, where each level adds
+    level * popcount(nxt[v]) to tr[v]. The kernel's working memory is one
     level's (2m, B) uint64 gather, which the block width B keeps within
     _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus a few
     (n, B) uint64 arrays, each no larger than the gather since n <= 2m.
@@ -268,6 +276,11 @@ def transmission_table(g):
 def _transmission_table(g):
     if not is_connected(g):
         raise DisconnectedGraph("transmissions are defined for connected graphs only")
+    return tree_transmissions(g) if g.m == g.n - 1 else _kernel_transmissions(g)
+
+
+def _kernel_transmissions(g):
+    """Transmission table of a connected graph from the all-sources BFS."""
     tr = np.zeros(g.n, dtype=np.int64)
     for _, level, nxt in _all_sources_levels(g):
         tr += level * np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
@@ -305,18 +318,17 @@ def is_tree(g):
 def tree_transmissions(g):
     """Transmission table of a tree in linear time by rerooting.
 
-    One _bfs from vertex 0 gives the visit order and the depths, which are
-    vertex 0's distances, so tr[0] = sum of dist; each edge's parent is its
-    endpoint of smaller dist. Subtree sizes are summed over the reversed
-    order, then the root moves across each edge top-down:
-    tr[child] = tr[parent] + n - 2*size[child]. Output matches
-    transmission_table entrywise.
+    Vertex 0's memoised BFS, the one is_connected reads, gives the visit
+    order and the depths, which are vertex 0's distances, so tr[0] = sum of
+    dist; each edge's parent is its endpoint of smaller dist. Subtree sizes
+    are summed over the reversed order, then the root moves across each
+    edge top-down: tr[child] = tr[parent] + n - 2*size[child].
+    transmission_table takes this path for every tree.
     """
     if not is_tree(g):
         raise NotATree("tree_transmissions requires a connected graph with m = n - 1")
     n = g.n
-    dist = [UNREACHABLE] * n
-    order = _bfs(g, 0, dist)
+    order, dist = _root_bfs(g)
     parent = [0] * n
     for u, v in g.edges.tolist():
         up, child = (u, v) if dist[u] < dist[v] else (v, u)

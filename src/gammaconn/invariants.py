@@ -104,19 +104,23 @@ def _gamma(g):
         return GammaCertificate(_ZERO, False, None, witness, valid, res)
 
     table = transmission_table(g)
-    value = Fraction(g.n, table.d_max)
+    n, d_max = g.n, table.d_max
+    value = Fraction(n, d_max)
     u = table.argmax[0]
     dist = _distances(g, u)
     ecc = int(dist.max())
-    shell_sizes = np.bincount(dist, minlength=ecc + 1)
-    shell_vals = [1 - r * value for r in range(ecc + 1)]
-    witness = tuple(shell_vals[r] for r in dist)
+    shell_sizes = np.bincount(dist, minlength=ecc + 1).tolist()
+    # shell r holds 1 - r*value = (d_max - r*n) / d_max; sums over these
+    # integer numerators stay exact without Fraction arithmetic per shell
+    shell_nums = [d_max - r * n for r in range(ecc + 1)]
+    shell_vals = [Fraction(a, d_max) for a in shell_nums]
+    witness = tuple(map(shell_vals.__getitem__, dist.tolist()))
     # entries are constant per shell and an edge diff is |level gap| * value,
-    # so every residual is exact in O(eccentricity) rational operations
+    # so every residual is exact in O(eccentricity) integer operations
     max_gap = int(np.abs(dist[g.edges[:, 0]] - dist[g.edges[:, 1]]).max()) if g.m else 0
     res = WitnessResiduals(
-        zero_sum=sum(int(a) * w for a, w in zip(shell_sizes, shell_vals)),
-        sup_deviation=max(abs(w) for w in shell_vals) - 1,
+        zero_sum=Fraction(sum(k * a for k, a in zip(shell_sizes, shell_nums)), d_max),
+        sup_deviation=Fraction(max(map(abs, shell_nums)) - d_max, d_max),
         edge_gap=(max_gap - 1) * value,
     )
     # 2*tr(u) >= ecc(u)*n at a maximum-transmission vertex keeps every shell

@@ -15,7 +15,7 @@ from gammaconn.edgelist import (
     write_edge_list,
 )
 from gammaconn.errors import EdgeListParseError
-from gammaconn.random_graphs import gnm_connected
+from gammaconn.random_graphs import gnm_connected, random_tree
 
 from conftest import counted, family, small_family_corpus
 
@@ -339,6 +339,17 @@ class TestOncePerGraph:
         assert code == 0
         # one connectivity sweep plus the witness shells
         assert len(sweeps) <= 2
+
+    @pytest.mark.parametrize("g", [family("path", 999), random_tree(1200, seed=20240801)],
+                             ids=["path999", "tree1200"])
+    def test_tree_compute_skips_all_sources_bfs(self, tmp_path, capsys, monkeypatch, g):
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        levels = counted(monkeypatch, graph, "_all_sources_levels")
+        sweeps = counted(monkeypatch, graph, "_bfs")
+        code, _, _ = run_cli(capsys, "--json", "compute", str(path))
+        assert code == 0
+        assert len(levels) == 0 and len(sweeps) <= 2
 
 
 class TestGenerateAndProduct:

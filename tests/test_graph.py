@@ -5,12 +5,15 @@ import pytest
 
 from gammaconn import (
     UNREACHABLE,
+    FamilySpec,
     bfs_distances,
+    closed_form_gamma,
     components,
     gamma,
     diameter,
     distance_matrix,
     from_edge_list,
+    generate,
     is_connected,
     is_tree,
     pendant_vertices,
@@ -28,7 +31,7 @@ from gammaconn.errors import (
 from gammaconn import graph
 from gammaconn.random_graphs import gnm_connected, gnp, random_tree
 
-from conftest import INF, edge_list, family, naive_distances
+from conftest import INF, counted, edge_list, family, naive_distances
 
 
 class TestFromEdgeList:
@@ -189,12 +192,17 @@ class TestTransmissionTable:
 def assert_all_sources_match_oracle(g):
     d = naive_distances(g.n, edge_list(g))
     assert distance_matrix(g).tolist() == d
+    assert graph._kernel_transmissions(g).tr.tolist() == [sum(row) for row in d]
     assert transmission_table(g).tr.tolist() == [sum(row) for row in d]
     assert diameter(g) == max(map(max, d))
 
 
 class TestAllSourcesKernel:
-    """The bit-parallel kernel's three callers against Floyd-Warshall."""
+    """The bit-parallel kernel's three callers against Floyd-Warshall.
+
+    Trees reach transmission_table through the rerooting, so the kernel's
+    transmissions are checked through _kernel_transmissions directly.
+    """
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
     def test_word_boundaries(self, n):
@@ -206,6 +214,7 @@ class TestAllSourcesKernel:
 
     def test_single_vertex(self):
         g = from_edge_list(1, [])
+        assert graph._kernel_transmissions(g).tr.tolist() == [0]
         assert transmission_table(g).tr.tolist() == [0]
         assert distance_matrix(g).tolist() == [[0]]
         assert diameter(g) == 0
@@ -280,7 +289,22 @@ class TestPendantsAndTrees:
     def test_rerooting_matches_bfs_table(self):
         for seed in range(10):
             t = random_tree(60, seed=seed)
-            assert tree_transmissions(t).tr.tolist() == transmission_table(t).tr.tolist()
+            assert tree_transmissions(t).tr.tolist() == graph._kernel_transmissions(t).tr.tolist()
+
+    def test_rerooting_reuses_connectivity_bfs(self, monkeypatch):
+        t = random_tree(50, seed=7)
+        sweeps = counted(monkeypatch, graph, "_bfs")
+        assert is_connected(t)
+        tree_transmissions(t)
+        assert len(sweeps) == 1
+
+    def test_long_path_within_budget(self):
+        # the all-sources kernel would advance 50,000 levels here
+        spec = FamilySpec("path", (50_000,))
+        start = time.perf_counter()
+        cert = gamma(generate(spec))
+        assert time.perf_counter() - start < 5.0
+        assert cert.gamma == closed_form_gamma(spec) and cert.witness_valid
 
     def test_tree_argmax_is_pendant(self):
         for seed in range(10):
