@@ -47,8 +47,9 @@ class Graph:
         self._indptr = indptr
         self._indices = indices
         # native int lists: the scalar BFS iterates these far faster than
-        # numpy slices
-        self._adj = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)]
+        # numpy slices, and slicing one list beats n array slices
+        ptr, nbrs = indptr.tolist(), indices.tolist()
+        self._adj = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
         self._edges = edges
         self._memo = {}
 

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
-enumeration, the witness objective from a per-edge loop. Tests compare
+enumeration, the witness objective from a per-edge loop, edge-list parsing
+from a per-line loop. Tests compare
 package output against these, never against itself. The one exception,
 `naive_l1_lp`, runs the package simplex on a formulation that shares
 nothing with the subset formula it checks.
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 
 from gammaconn import FamilySpec, from_edge_list, generate
-from gammaconn.errors import InfeasibleVector
+from gammaconn.edgelist import MAX_VERTICES
+from gammaconn.errors import EdgeListParseError, InfeasibleVector
 
 INF = 10 ** 9
 
@@ -141,6 +143,62 @@ def naive_objective(n, edges, x):
     for u, v in edges:
         best = max(best, abs(vals[u] - vals[v]))
     return best
+
+
+def naive_parse_edge_list(text):
+    """The edge-list reader as a per-line loop, with a set for duplicates.
+
+    Raises EdgeListParseError at the first offending line, checking each
+    line in the package's order: count, token shape, integers, range,
+    self-loop, duplicate.
+    """
+    header = None
+    pairs = []
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise EdgeListParseError(line_no, f"expected header 'n m', got {raw!r}")
+            try:
+                n, m = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise EdgeListParseError(line_no, f"non-integer header {raw!r}") from None
+            if n < 1 or m < 0:
+                raise EdgeListParseError(line_no, f"invalid header values n={n} m={m}")
+            if n > MAX_VERTICES or m > n * (n - 1) // 2:
+                raise EdgeListParseError(line_no, f"header values n={n} m={m} exceed the caps"
+                                         f" n <= {MAX_VERTICES}, m <= n(n-1)/2")
+            header = (n, m)
+            continue
+        n, m = header
+        if len(pairs) == m:
+            raise EdgeListParseError(line_no, "more edge lines than the header declared")
+        if len(tokens) != 2:
+            raise EdgeListParseError(line_no, f"expected edge 'u v', got {raw!r}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, f"non-integer edge {raw!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListParseError(line_no, f"edge ({u}, {v}) outside [0, {n})")
+        if u == v:
+            raise EdgeListParseError(line_no, f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise EdgeListParseError(line_no, f"duplicate edge {key}")
+        seen.add(key)
+        pairs.append(key)
+    if header is None:
+        raise EdgeListParseError(1, "empty document (missing 'n m' header)")
+    if len(pairs) != header[1]:
+        raise EdgeListParseError(
+            line_no if text else 1,
+            f"header declared {header[1]} edges but {len(pairs)} were given")
+    return from_edge_list(header[0], pairs)
 
 
 def naive_lp(objective, constraints, bounds, tol=1e-9):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaconn import edgelist, generate, graph, invariants
-from gammaconn.cli import main
+from gammaconn import edgelist, from_edge_list, generate, graph, invariants, lp
+from gammaconn.cli import _emit, build_result_document, main, render_text
 from gammaconn.edgelist import (
     MAX_VERTICES,
     format_edge_list,
@@ -15,9 +16,9 @@ from gammaconn.edgelist import (
     write_edge_list,
 )
 from gammaconn.errors import EdgeListParseError
-from gammaconn.random_graphs import gnm_connected, random_tree
+from gammaconn.random_graphs import gnm_connected, gnp_disconnected, random_tree
 
-from conftest import counted, family, small_family_corpus
+from conftest import counted, family, naive_parse_edge_list, small_family_corpus
 
 
 # small vertex ids and counts, or ones past the header cap, so no header
@@ -28,6 +29,47 @@ EDGE_LIST_TOKEN = st.sampled_from([str(i) for i in range(51)] + ["-1", "-7", "-5
 # half the lines have the two tokens of a header or an edge
 EDGE_LIST_LINE = st.one_of(st.lists(EDGE_LIST_TOKEN, min_size=2, max_size=2),
                            st.lists(EDGE_LIST_TOKEN, max_size=4))
+
+# int() spellings of a small id: plain, signed, with an underscore, in
+# Arabic-Indic and in fullwidth digits
+ORACLE_SPELLINGS = (str, "+{}".format, "0_{}".format, lambda v: chr(0x0660 + v),
+                    lambda v: chr(0xFF10 + v))
+# tokens int() refuses, and integers outside every drawn [0, n), int64 or not
+ORACLE_BAD_TOKENS = ["x", "1.0", "0x1", "-1", "1_0", str(2 ** 63), str(2 ** 64),
+                     str(-2 ** 63 - 1)]
+ORACLE_GAP = st.sampled_from([" ", "\t", "  ", " \t "])
+ORACLE_COMMENT = st.sampled_from(["", "", "", " # note", "#", "\t#0 1"])
+ORACLE_BREAK = st.sampled_from(["\n", "\n", "\r\n", "\r", "\f", "\x0b", "\x85", "\u2028"])
+
+
+@st.composite
+def near_valid_edge_lists(draw):
+    """A header and edge lines a few faults away from a valid document.
+
+    Random pairs over few vertices give self-loops and duplicates in both
+    orientations; the declared m may be one off either way; now and then a
+    token is respelled or replaced by a bad one, or a line gains or loses a
+    token; blank and comment-only lines are mixed in.
+    """
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=min(8, n * (n - 1) // 2)))
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    text = ""
+    for row in [(n, m), *pairs]:
+        if draw(st.integers(0, 5)) == 0:
+            text += draw(st.sampled_from(["", " ", "\t"])) + draw(ORACLE_COMMENT) + draw(ORACLE_BREAK)
+        tokens = [draw(st.sampled_from(ORACLE_SPELLINGS))(v) if 0 <= v < 10 else str(v)
+                  for v in row]
+        fault = draw(st.integers(0, 31))
+        if fault == 0:
+            tokens[draw(st.integers(0, 1))] = draw(st.sampled_from(ORACLE_BAD_TOKENS))
+        elif fault == 1:
+            tokens.pop()
+        elif fault == 2:
+            tokens.append("1")
+        text += draw(ORACLE_GAP).join(tokens) + draw(ORACLE_COMMENT) + draw(ORACLE_BREAK)
+    return text if draw(st.booleans()) else text.rstrip("\n\r\f\x0b\x85\u2028")
 
 
 class TestEdgeListFormat:
@@ -95,6 +137,17 @@ class TestEdgeListFormat:
             assert 1 <= exc.line_no <= max(1, len(text.splitlines()))
         else:
             assert parse_edge_list(format_edge_list(g)) == g
+
+    @settings(max_examples=600, deadline=None)
+    @given(near_valid_edge_lists())
+    def test_parser_matches_line_loop(self, text):
+        def outcome(parse):
+            try:
+                return parse(text)
+            except EdgeListParseError as exc:
+                return type(exc), exc.line_no, str(exc)
+
+        assert outcome(parse_edge_list) == outcome(naive_parse_edge_list)
 
 
 def run_cli(capsys, *argv):
@@ -295,6 +348,79 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "--json", "verify", str(path))
         assert code == 1
         assert json.loads(out)["bounds"]["all_hold"] is False
+
+    def test_invalid_certificate_exit_1(self, tmp_path, capsys, monkeypatch):
+        real = invariants.gamma
+        monkeypatch.setattr(invariants, "gamma",
+                            lambda g: dataclasses.replace(real(g), witness_valid=False))
+        path = tmp_path / "c5.txt"
+        write_edge_list(family("cycle", 5), path)
+        code, out, _ = run_cli(capsys, "--json", "verify", str(path))
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["witness"]["valid"] is False and doc["bounds"]["all_hold"] is True
+
+    def test_disagreeing_oracle_exit_1(self, tmp_path, capsys, monkeypatch):
+        real = lp.gamma_lp_details
+
+        def off_by_half(g):
+            value, per_k, best_k = real(g)
+            return value + 0.5, per_k, best_k
+
+        monkeypatch.setattr(lp, "gamma_lp_details", off_by_half)
+        path = tmp_path / "c5.txt"
+        write_edge_list(family("cycle", 5), path)
+        code, out, _ = run_cli(capsys, "--json", "verify", str(path), "--lp")
+        doc = json.loads(out)
+        assert code == 1
+        assert doc["oracle"]["agrees"] is False and doc["bounds"]["all_hold"] is True
+        # compute reports the disagreement without judging it
+        code, _, _ = run_cli(capsys, "--json", "compute", str(path), "--lp")
+        assert code == 0
+
+
+EVERY_FLAG_SET = [{"with_lp": lp_, "with_spectral": spectral, "with_cheeger": cheeger}
+                  for lp_ in (False, True) for spectral in (False, True)
+                  for cheeger in (False, True)]
+ALL_FLAGS = EVERY_FLAG_SET[-1]
+
+
+class TestEmit:
+    """JSON output is json.dumps(doc, indent=2) byte for byte; text output is unchanged."""
+
+    @staticmethod
+    def check(capsys, g, command, flags):
+        doc = build_result_document(g, command=command, tol=1e-9,
+                                    with_bounds=command == "verify", **flags)
+        # the same data with one fresh entry dict per vertex, nothing shared
+        fresh = [{"num": w.numerator, "den": w.denominator, "approx": float(w)}
+                 for w in invariants.gamma(g).witness]
+        assert doc["witness"]["vector"] == fresh
+        _emit(doc, True)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+        _emit(doc, False)
+        unshared = {**doc, "witness": {**doc["witness"], "vector": fresh}}
+        assert capsys.readouterr().out == render_text(unshared) + "\n"
+
+    def test_family_corpus(self, capsys):
+        for spec in small_family_corpus():
+            g = generate(spec)
+            self.check(capsys, g, "compute", {})
+            self.check(capsys, g, "verify", ALL_FLAGS)
+
+    @pytest.mark.parametrize("flags", EVERY_FLAG_SET,
+                             ids=lambda f: "-".join(k[5:] for k, on in f.items() if on) or "none")
+    @pytest.mark.parametrize("g", [
+        gnp_disconnected(12, 0.2, seed=3),
+        from_edge_list(300, []),
+        from_edge_list(2, []),
+        family("path", 2),
+        family("petersen"),
+    ], ids=["gnp12-disconnected", "edgeless300", "edgeless2", "path2", "petersen"])
+    def test_every_flag_set(self, capsys, g, flags):
+        self.check(capsys, g, "compute", flags)
+        if graph.is_connected(g):  # verify refuses disconnected graphs
+            self.check(capsys, g, "verify", flags)
 
 
 class TestOncePerGraph:
