@@ -11,6 +11,7 @@ arrays) and readers racing on a missing key all get the first value stored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import (
     DisconnectedGraph,
     DuplicateEdge,
+    FixedLimit,
     NotATree,
     SelfLoop,
     VertexOutOfRange,
@@ -27,9 +29,13 @@ from .errors import (
 #: (negative) so it can never be mistaken for a hop count.
 UNREACHABLE = -1
 
-#: Byte budget for one level's (2m, B) uint64 gather in the all-sources BFS;
-#: sets the source block width B and so caps the kernel's working set.
+#: Byte budget for one level's word-major (B, 2m) uint64 gather in the
+#: all-sources BFS; sets the source block width B and so caps the kernel's
+#: working set.
 _GATHER_BYTES = 32 << 20
+
+#: Largest vertex count whose edge keys lo*n + hi (< n*n) fit in int64.
+_MAX_N = math.isqrt(2**63 - 1)
 
 
 class Graph:
@@ -92,9 +98,17 @@ def from_edge_list(n, pairs):
     """Build a Graph from (u, v) pairs, rejecting invalid input outright.
 
     Raises VertexOutOfRange, SelfLoop, or DuplicateEdge; never repairs.
+    Edges are sorted by the one int64 key lo*n + hi (lo < hi), which orders
+    them lexicographically and makes duplicates equal neighbouring keys. The
+    key is below n*n, so n past _MAX_N (isqrt(2^63 - 1), about 3.04e9)
+    raises FixedLimit instead of overflowing it. Each row's neighbours come
+    from one stable sort of the row ids over [reversed edges; edges], which
+    lists a row's smaller neighbours, then its larger ones, each ascending.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+    if n > _MAX_N:
+        raise FixedLimit(f"vertex count must be <= {_MAX_N} (int64 edge keys), got {n}")
     arr = pairs if isinstance(pairs, np.ndarray) else np.array(list(pairs), dtype=np.int64)
     arr = arr.astype(np.int64, copy=False).reshape(-1, 2)
     if arr.size:
@@ -105,17 +119,16 @@ def from_edge_list(n, pairs):
         loops = arr[:, 0] == arr[:, 1]
         if loops.any():
             raise SelfLoop(f"self-loop at vertex {arr[int(np.argmax(loops)), 0]}")
-    edges = np.stack([arr.min(axis=1), arr.max(axis=1)], axis=1)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    if len(edges) > 1:
-        dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-        if dup.any():
-            u, v = edges[int(np.argmax(dup))]
-            raise DuplicateEdge(f"edge ({u}, {v}) given more than once")
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    lo, hi = arr.min(axis=1), arr.max(axis=1)
+    keys = lo * n + hi
+    order = np.argsort(keys)
+    edges = np.stack([lo[order], hi[order]], axis=1)
+    dup = np.diff(keys[order]) == 0
+    if dup.any():
+        u, v = edges[int(np.argmax(dup))]
+        raise DuplicateEdge(f"edge ({u}, {v}) given more than once")
+    src = np.concatenate([edges[:, 1], edges[:, 0]])
+    indices = np.concatenate([edges[:, 0], edges[:, 1]])[np.argsort(src, kind="stable")]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, indptr, indices, edges)
@@ -160,12 +173,16 @@ def _all_sources_levels(g):
 
     Sources are packed one bit each into uint64 words, and a block of B
     words advances level-synchronously: per level every vertex ORs the
-    frontier words of its neighbours and keeps the bits not yet seen. Yields
-    (first_source, level, nxt) for levels >= 1, where bit j of word w in
-    nxt[v] is set iff dist(v, first_source + 64*w + j) == level; distances
-    are symmetric, so row v lists the block's sources at that distance.
-    B keeps the (2m, B) gather within _GATHER_BYTES. reduceat needs degree
-    >= 1 everywhere, so callers pass connected graphs; n = 1 yields nothing.
+    frontier words of its neighbours and keeps the bits not yet seen. A
+    block is stored word-major, as a (B, n) array, so one np.take of the
+    neighbour columns gives a (B, 2m) gather whose per-vertex segments are
+    contiguous along its rows, and one reduceat along that axis ORs them.
+    Yields (first_source, level, nxt) for levels >= 1, where bit j of
+    nxt[w, v] is set iff dist(v, first_source + 64*w + j) == level;
+    distances are symmetric, so column v lists the block's sources at that
+    distance. B keeps the (B, 2m) gather within _GATHER_BYTES. reduceat
+    needs degree >= 1 everywhere, so callers pass connected graphs; n = 1
+    yields nothing.
     """
     n, indptr, indices = g.n, g._indptr, g._indices
     if n < 2:
@@ -176,11 +193,11 @@ def _all_sources_levels(g):
         width = min(block, words - w0)
         first = 64 * w0
         src = np.arange(min(n - first, 64 * width), dtype=np.uint64)
-        frontier = np.zeros((n, width), dtype=np.uint64)
-        frontier[first + src, src >> 6] = np.uint64(1) << (src & 63)
+        frontier = np.zeros((width, n), dtype=np.uint64)
+        frontier[src >> 6, first + src] = np.uint64(1) << (src & 63)
         unseen = ~frontier
         for level in range(1, n):  # no distance reaches n
-            nxt = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0)
+            nxt = np.bitwise_or.reduceat(np.take(frontier, indices, axis=1), indptr[:-1], axis=1)
             nxt &= unseen
             if not nxt.any():
                 break
@@ -265,10 +282,10 @@ def transmission_table(g):
 
     A connected graph with m = n - 1 is a tree and goes to tree_transmissions.
     Every other graph takes the bit-parallel kernel, where each level adds
-    level * popcount(nxt[v]) to tr[v]. The kernel's working memory is one
-    level's (2m, B) uint64 gather, which the block width B keeps within
-    _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus a few
-    (n, B) uint64 arrays, each no larger than the gather since n <= 2m.
+    level * popcount(nxt[:, v]) to tr[v]. The kernel's working memory is one
+    level's word-major (B, 2m) uint64 gather, which the block width B keeps
+    within _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus
+    a few (B, n) uint64 arrays, each no larger than the gather since n <= 2m.
     Memoised per graph.
     """
     return _cached(g, "transmission_table", lambda: _transmission_table(g))
@@ -284,7 +301,7 @@ def _kernel_transmissions(g):
     """Transmission table of a connected graph from the all-sources BFS."""
     tr = np.zeros(g.n, dtype=np.int64)
     for _, level, nxt in _all_sources_levels(g):
-        tr += level * np.bitwise_count(nxt).sum(axis=1, dtype=np.int64)
+        tr += level * np.bitwise_count(nxt).sum(axis=0, dtype=np.int64)
     return _table_from_transmissions(tr)
 
 
@@ -350,7 +367,8 @@ def distance_matrix(g):
         raise DisconnectedGraph("distance matrix is defined for connected graphs only")
     out = np.zeros((g.n, g.n), dtype=np.int64)
     for first, level, nxt in _all_sources_levels(g):
-        bits = np.unpackbits(nxt.astype("<u8", copy=False).view(np.uint8), axis=1,
-                             count=min(g.n - first, 64 * nxt.shape[1]), bitorder="little")
-        out[:, first:first + bits.shape[1]][bits.view(bool)] = level
+        words = np.ascontiguousarray(nxt.T, dtype="<u8")  # (n, B): row v, its sources
+        bits = np.unpackbits(words.view(np.uint8), axis=1,
+                             count=min(g.n - first, 64 * words.shape[1]), bitorder="little")
+        np.copyto(out[:, first:first + bits.shape[1]], level, where=bits.view(bool))
     return out

@@ -4,8 +4,8 @@ Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
 enumeration, the witness objective from a per-edge loop, edge-list parsing
-from a per-line loop. Tests compare
-package output against these, never against itself. The one exception,
+from a per-line loop, graph construction from sorted Python lists. Tests
+compare package output against these, never against itself. The one exception,
 `naive_l1_lp`, runs the package simplex on a formulation that shares
 nothing with the subset formula it checks.
 """
@@ -20,7 +20,13 @@ import pytest
 
 from gammaconn import FamilySpec, from_edge_list, generate
 from gammaconn.edgelist import MAX_VERTICES
-from gammaconn.errors import EdgeListParseError, InfeasibleVector
+from gammaconn.errors import (
+    DuplicateEdge,
+    EdgeListParseError,
+    InfeasibleVector,
+    SelfLoop,
+    VertexOutOfRange,
+)
 
 INF = 10 ** 9
 
@@ -199,6 +205,36 @@ def naive_parse_edge_list(text):
             line_no if text else 1,
             f"header declared {header[1]} edges but {len(pairs)} were given")
     return from_edge_list(header[0], pairs)
+
+
+def naive_from_edge_list(n, pairs):
+    """Graph construction as sorted Python lists: (edges, indptr, indices).
+
+    Raises what from_edge_list raises, with its messages: the first pair
+    with an endpoint outside [0, n), else the first self-loop, else the
+    lexicographically first edge given twice in either orientation.
+    """
+    if n < 1:
+        raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRange(f"edge ({u}, {v}) has endpoint outside [0, {n})")
+    for u, v in pairs:
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+    edges = sorted((min(u, v), max(u, v)) for u, v in pairs)
+    for a, b in zip(edges, edges[1:]):
+        if a == b:
+            raise DuplicateEdge(f"edge ({a[0]}, {a[1]}) given more than once")
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    indptr, indices = [0], []
+    for row in nbrs:
+        indices += sorted(row)
+        indptr.append(len(indices))
+    return edges, indptr, indices
 
 
 def naive_lp(objective, constraints, bounds, tol=1e-9):

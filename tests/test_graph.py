@@ -1,7 +1,10 @@
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gammaconn import (
     UNREACHABLE,
@@ -24,6 +27,8 @@ from gammaconn import (
 from gammaconn.errors import (
     DisconnectedGraph,
     DuplicateEdge,
+    FixedLimit,
+    GammaConnError,
     NotATree,
     SelfLoop,
     VertexOutOfRange,
@@ -31,7 +36,22 @@ from gammaconn.errors import (
 from gammaconn import graph
 from gammaconn.random_graphs import gnm_connected, gnp, random_tree
 
-from conftest import INF, counted, edge_list, family, naive_distances
+from conftest import INF, counted, edge_list, family, naive_distances, naive_from_edge_list
+
+
+@st.composite
+def shuffled_edges(draw, max_n=30):
+    """(n, pairs): distinct edges in random order, each drawn in either orientation,
+    plus up to two arbitrary pairs that may repeat an edge, loop or leave [0, n)."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    for u, v in draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=2)):
+        edges.insert(draw(st.integers(0, len(edges))), (u, v))
+    return n, edges
 
 
 class TestFromEdgeList:
@@ -62,6 +82,40 @@ class TestFromEdgeList:
         g = from_edge_list(4, [(3, 1), (2, 0), (1, 0)])
         assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
         assert [(int(u), int(v)) for u, v in g.edges] == [(0, 1), (0, 2), (1, 3)]
+
+    @pytest.mark.parametrize("n, pairs, error, message", [
+        (5, [(0, 1), (4, 4), (9, 2), (2, 7)], VertexOutOfRange,
+         "edge (9, 2) has endpoint outside [0, 5)"),
+        (5, [(0, 1), (3, 3), (2, 2)], SelfLoop, "self-loop at vertex 3"),
+        (5, [(3, 4), (1, 0), (4, 3), (0, 1)], DuplicateEdge, "edge (0, 1) given more than once"),
+    ])
+    def test_first_fault_named(self, n, pairs, error, message):
+        # range before loops before duplicates; the lexicographically first duplicate
+        with pytest.raises(error) as exc:
+            from_edge_list(n, pairs)
+        assert str(exc.value) == message
+
+    @given(shuffled_edges(), st.booleans())
+    def test_matches_sorted_python_builder(self, case, as_array):
+        n, pairs = case
+
+        def outcome(build):
+            try:
+                return build()
+            except GammaConnError as exc:
+                return type(exc), str(exc)
+
+        def package():
+            g = from_edge_list(n, np.array(pairs, dtype=np.int64) if as_array else pairs)
+            return edge_list(g), g._indptr.tolist(), g._indices.tolist()
+
+        assert outcome(package) == outcome(lambda: naive_from_edge_list(n, pairs))
+
+    def test_vertex_count_past_int64_keys_refused(self):
+        # edges sort by the key lo*n + hi < n*n, which must fit in int64
+        assert graph._MAX_N ** 2 <= 2 ** 63 - 1 < (graph._MAX_N + 1) ** 2
+        with pytest.raises(FixedLimit):
+            from_edge_list(graph._MAX_N + 1, [])
 
 
 class TestBfs:
@@ -197,6 +251,20 @@ def assert_all_sources_match_oracle(g):
     assert diameter(g) == max(map(max, d))
 
 
+def preferential_attachment(n, k, seed):
+    """Each new vertex joins k distinct earlier vertices drawn by degree (Barabasi-Albert)."""
+    rng = np.random.default_rng(seed)
+    edges = list(combinations(range(k + 1), 2))
+    ends = [w for e in edges for w in e]  # each vertex once per incident edge
+    for v in range(k + 1, n):
+        targets = set()
+        while len(targets) < k:
+            targets.add(ends[rng.integers(len(ends))])
+        edges += [(u, v) for u in sorted(targets)]
+        ends += [w for u in sorted(targets) for w in (u, v)]
+    return from_edge_list(n, edges)
+
+
 class TestAllSourcesKernel:
     """The bit-parallel kernel's three callers against Floyd-Warshall.
 
@@ -223,6 +291,19 @@ class TestAllSourcesKernel:
     def test_several_source_blocks(self, monkeypatch, words_per_block):
         g = gnm_connected(150, 300, seed=11)  # 3 words of sources
         monkeypatch.setattr(graph, "_GATHER_BYTES", words_per_block * 8 * 2 * g.m)
+        assert_all_sources_match_oracle(g)
+
+    @pytest.mark.parametrize("one_word_blocks", [False, True])
+    @pytest.mark.parametrize("g", [
+        # hub of degree n - 1 beside 129 rim vertices of degree 3: 3 words of sources
+        from_edge_list(130, [(0, v) for v in range(1, 130)]
+                       + [(v, v % 129 + 1) for v in range(1, 130)]),
+        # heavy-tailed: 17 distinct degrees, from 2 to 27
+        preferential_attachment(150, 2, seed=4),
+    ], ids=["wheel130", "preferential150"])
+    def test_skewed_degrees(self, monkeypatch, g, one_word_blocks):
+        if one_word_blocks:
+            monkeypatch.setattr(graph, "_GATHER_BYTES", 8 * 2 * g.m)
         assert_all_sources_match_oracle(g)
 
 
