@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import invariants, lp
 from .edgelist import read_edge_list, write_edge_list
@@ -38,9 +40,23 @@ def _size_cap(default):
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise GammaConnError(f"GAMMA_MAX_N must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise GammaConnError(f"GAMMA_MAX_N must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _tolerance(raw):
+    """A --tol value: a finite float above 0; argparse exits 2 on any other."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {raw!r}")
+    return tol
 
 
 def _fraction_doc(fr):
@@ -56,31 +72,8 @@ def _vector_entry_json(d):
             f'\n        "approx": {d["approx"]!r}\n      }}')
 
 
-def _spectral_doc(est):
-    return {
-        "value": est.value,
-        "residual": est.residual,
-        "iterations": est.iterations,
-        "converged": est.converged,
-    }
-
-
 def _skipped(reason):
     return {"skipped": reason}
-
-
-def _entry_doc(e):
-    return {
-        "name": e.name,
-        "lhs": e.lhs,
-        "rhs": e.rhs,
-        "relation": e.relation,
-        "holds": e.holds,
-        "equality_attained": e.equality_attained,
-        "equality_expected": e.equality_expected,
-        "skipped": e.skipped,
-        "reason": e.reason,
-    }
 
 
 def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False,
@@ -132,16 +125,12 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     elif not connected:
         reason = "graph is disconnected"
         inv["distance_spectral_radius"] = _skipped(reason)
-        inv["algebraic_connectivity"] = _spectral_doc(
-            invariants.algebraic_connectivity(g, tol))
+        inv["algebraic_connectivity"] = asdict(invariants.algebraic_connectivity(g, tol))
         inv["normalized_laplacian_mu"] = _skipped(reason)
     else:
-        inv["distance_spectral_radius"] = _spectral_doc(
-            invariants.distance_spectral_radius(g, tol))
-        inv["algebraic_connectivity"] = _spectral_doc(
-            invariants.algebraic_connectivity(g, tol))
-        inv["normalized_laplacian_mu"] = _spectral_doc(
-            invariants.normalized_laplacian_mu(g, tol))
+        inv["distance_spectral_radius"] = asdict(invariants.distance_spectral_radius(g, tol))
+        inv["algebraic_connectivity"] = asdict(invariants.algebraic_connectivity(g, tol))
+        inv["normalized_laplacian_mu"] = asdict(invariants.normalized_laplacian_mu(g, tol))
     inv["cheeger"] = cheeger
     doc["invariants"] = inv
 
@@ -151,7 +140,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         report = invariants.bound_report(
             g, tol, cheeger_max_n=_size_cap(invariants._CHEEGER_MAX_N))
         doc["bounds"] = {
-            "entries": [_entry_doc(e) for e in report.entries],
+            "entries": [asdict(e) for e in report.entries],
             "all_hold": report.all_hold,
         }
 
@@ -358,7 +347,7 @@ def build_parser():
         prog="gammaconn",
         description="Exact max-transmission connectivity invariant of simple graphs.")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="residual tolerance of the spectral estimates (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -34,6 +34,11 @@ UNREACHABLE = -1
 #: working set.
 _GATHER_BYTES = 32 << 20
 
+#: Largest n for which a dense n x n matrix (distances, adjacency, the
+#: Laplacians) is built: one float64 matrix is 134 MB there, and one LAPACK
+#: eigh on it took 13 s on one Xeon core.
+_DENSE_MAX_N = 4096
+
 #: Largest vertex count whose edge keys lo*n + hi (< n*n) fit in int64.
 _MAX_N = math.isqrt(2**63 - 1)
 
@@ -361,8 +366,15 @@ def tree_transmissions(g):
     return _table_from_transmissions(np.array(tr, dtype=np.int64))
 
 
+def _check_dense(g):
+    """Raise FixedLimit when g is too large for a dense n x n matrix."""
+    if g.n > _DENSE_MAX_N:
+        raise FixedLimit(f"dense matrices capped at n <= {_DENSE_MAX_N}")
+
+
 def distance_matrix(g):
-    """Dense n x n hop-count matrix; materialised only when asked for."""
+    """Dense n x n hop-count matrix (n <= _DENSE_MAX_N); materialised only when asked for."""
+    _check_dense(g)
     if not is_connected(g):
         raise DisconnectedGraph("distance matrix is defined for connected graphs only")
     out = np.zeros((g.n, g.n), dtype=np.int64)

@@ -27,6 +27,7 @@ from .errors import (
 from .graph import (
     Graph,
     _cached,
+    _check_dense,
     _distances,
     components,
     distance_matrix,
@@ -183,6 +184,7 @@ def is_transmission_regular(g: Graph) -> bool:
 # matrices
 
 def adjacency_matrix(g):
+    _check_dense(g)
     a = np.zeros((g.n, g.n))
     if g.m:
         a[g.edges[:, 0], g.edges[:, 1]] = 1.0
@@ -227,7 +229,7 @@ def distance_spectral_radius(g: Graph, tol: float = 1e-10) -> SpectralEstimate:
     orthogonal to its eigenvector. The shift is subtracted at the end and
     the residual is reported against D itself. Memoised per (graph, tol).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if not is_connected(g):
         raise DisconnectedGraph("the distance matrix needs a connected graph")
@@ -489,7 +491,7 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
         sr = distance_spectral_radius(g, tol)
         entries.append(_float_entry(
             "spectral_radius_upper", float(gam), n / sr.value, False, tr_regular))
-    except NoConvergence as exc:
+    except (NoConvergence, FixedLimit) as exc:
         entries.append(_skipped_entry("spectral_radius_upper", "<=", str(exc)))
 
     # invariant vs Wiener index; equality iff transmission-regular (exact)
@@ -515,7 +517,7 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
         entries.append(_float_entry(
             "laplacian_gap_upper", ac.value, float(Fraction(m * (n - 1), n) * gam * gam),
             True, None))
-    except NoConvergence as exc:
+    except (NoConvergence, FixedLimit) as exc:
         entries.append(_skipped_entry("laplacian_gap_upper", "<", str(exc)))
 
     # for regular graphs: expansion vs sqrt(n-1) * invariant (strict); the

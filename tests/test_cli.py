@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,10 @@ class TestEdgeListFormat:
         ("99999999999999999999999 0\n", "line 1: header values n=99999999999999999999999 m=0"),
         ("3 99999999999999999999999\n", "line 1: header values n=3 m=99999999999999999999999"),
         ("# n = 2^63\n9223372036854775808 1\n0 1\n", "line 2: header values"),
+        # which fault a line names first, and an id past int64
+        ("3 1\n5 5\n", "line 2: edge (5, 5) outside"),
+        ("3 2\n1 1\n0 1\n1 0\n", "line 2: self-loop"),
+        ("3 1\n0 99999999999999999999999\n", "line 2: edge (0, 99999999999999999999999) outside"),
     ])
     def test_parse_errors_carry_line_numbers(self, doc, fragment):
         with pytest.raises(EdgeListParseError) as exc:
@@ -126,6 +131,15 @@ class TestEdgeListFormat:
             parse_edge_list(doc)
         assert exc.value.line_no == 1
         assert f"line 1: header values {fragment}" in str(exc.value)
+
+    def test_late_fault_in_large_document_named_quickly(self):
+        lines = format_edge_list(family("path", 100_000)).splitlines()
+        lines[-1] = "1 0"  # line 100,000 repeats the first edge
+        t0 = time.perf_counter()
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list("\n".join(lines))
+        assert time.perf_counter() - t0 < 2.0
+        assert str(exc.value) == "line 100000: duplicate edge (0, 1)"
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(EDGE_LIST_LINE, max_size=10), st.sampled_from(["\n", "\r\n"]))
@@ -251,6 +265,26 @@ class TestComputeCommand:
         assert oracles[1]["agrees"] is True
         assert oracles[1] == oracles[0]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "x"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch, tol):
+        power = counted(monkeypatch, invariants, "_power_iteration")
+        path = tmp_path / "c40.txt"
+        write_edge_list(family("cycle", 40), path)
+        with pytest.raises(SystemExit) as exc:
+            main([f"--tol={tol}", "verify", str(path)])
+        assert exc.value.code == 2
+        assert "argument --tol: must be finite and positive" in capsys.readouterr().err
+        assert power == []
+
+    @pytest.mark.parametrize("override", ["-5", "0"])
+    def test_cap_override_must_be_positive(self, tmp_path, capsys, monkeypatch, override):
+        monkeypatch.setenv("GAMMA_MAX_N", override)
+        path = tmp_path / "c40.txt"
+        write_edge_list(family("cycle", 40), path)
+        code, _, err = run_cli(capsys, "compute", str(path), "--cheeger")
+        assert code == 2
+        assert err == f"error: GAMMA_MAX_N must be a positive integer, got {override!r}\n"
+
     def test_cap_override_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAMMA_MAX_N", "30")
         path = tmp_path / "c26.txt"
@@ -325,6 +359,27 @@ class TestVerifyCommand:
         for name in ("expansion_upper", "expansion_vs_mu_upper", "expansion_vs_mu_lower"):
             assert entries[name]["skipped"]
             assert entries[name]["reason"] == "exact expansion capped at n <= 48"
+
+    def test_dense_cap_skips_dense_entries(self, tmp_path, capsys, monkeypatch):
+        # cycle(30) is past the default Cheeger cap of 24 too, so the
+        # normalized-Laplacian entries stay skipped by that cap
+        monkeypatch.delenv("GAMMA_MAX_N", raising=False)
+        monkeypatch.setattr(graph, "_DENSE_MAX_N", 16)
+        path = tmp_path / "c30.txt"
+        write_edge_list(family("cycle", 30), path)
+        code, out, err = run_cli(capsys, "--json", "verify", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        entries = {e["name"]: e for e in doc["bounds"]["entries"]}
+        for name in ("spectral_radius_upper", "laplacian_gap_upper"):
+            assert entries[name]["skipped"]
+            assert entries[name]["reason"] == "dense matrices capped at n <= 16"
+        assert entries["expansion_vs_mu_upper"]["reason"] == "exact expansion capped at n <= 24"
+        assert doc["bounds"]["all_hold"] is True
+        for command in ("compute", "verify"):
+            code, _, err = run_cli(capsys, command, str(path), "--spectral")
+            assert code == 3
+            assert "dense matrices capped at n <= 16" in err and "GAMMA_MAX_N" not in err
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         path = tmp_path / "d.txt"

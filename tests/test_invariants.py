@@ -13,6 +13,7 @@ from gammaconn import (
     gamma,
     gamma_objective,
     generate,
+    graph,
     is_connected,
     is_transmission_regular,
     normalized_laplacian_mu,
@@ -21,11 +22,13 @@ from gammaconn import (
 )
 from gammaconn.errors import (
     DisconnectedGraph,
+    FixedLimit,
     InfeasibleVector,
     NoConvergence,
     TooLarge,
     TooSmall,
 )
+from gammaconn.graph import distance_matrix
 from gammaconn.invariants import (
     adjacency_matrix,
     laplacian_matrix,
@@ -288,6 +291,26 @@ class TestSpectral:
             oracle = float(np.linalg.eigvalsh(distance_matrix(g).astype(float)).max())
             est = distance_spectral_radius(g, tol=1e-11)
             assert abs(est.value - oracle) <= 1e-7
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
+    def test_distance_radius_refuses_tol(self, tol):
+        with pytest.raises(ValueError):
+            distance_spectral_radius(family("cycle", 6), tol)
+
+    def test_dense_cap_covers_every_matrix(self, monkeypatch):
+        # one setting caps the distance, adjacency and both Laplacian matrices
+        monkeypatch.setattr(graph, "_DENSE_MAX_N", 5)
+        small, large = family("cycle", 5), family("cycle", 6)
+        builders = (distance_matrix, adjacency_matrix, laplacian_matrix,
+                    normalized_laplacian_matrix)
+        for build in builders:
+            assert build(small).shape == (5, 5)
+            with pytest.raises(FixedLimit, match=r"dense matrices capped at n <= 5"):
+                build(large)
+        rep = bound_report(large, cheeger_max_n=5)
+        for name in ("spectral_radius_upper", "laplacian_gap_upper"):
+            assert rep.entry(name).skipped
+            assert rep.entry(name).reason == "dense matrices capped at n <= 5"
 
     def test_radius_never_exceeds_max_transmission(self):
         for seed in range(5):
