@@ -41,8 +41,12 @@ Rational = Fraction  # exact, always reduced, positive denominator
 _ZERO = Fraction(0)
 _POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence past this
 _L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
-_CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 subset masks
+_CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 masks, int16 counts
 _CHEEGER_MAX_N = 24  # default size cap of the exact expansion (GAMMA_MAX_N in the CLI)
+#: Subsets per block of the exact expansion enumeration: the block's three
+#: int16 arrays and one float64 array (about 0.9 MB) stay in L2 cache. A power
+#: of two, so that whole blocks tile the high-half masks.
+_CHEEGER_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +153,7 @@ def gamma_objective(g: Graph, x) -> float | Fraction:
     vals = list(x)
     u, v = g.edges[:, 0], g.edges[:, 1]
     if all(isinstance(w, numbers.Rational) for w in vals):
-        den = math.lcm(*(int(w.denominator) for w in vals))
-        nums = [int(w.numerator) * (den // int(w.denominator)) for w in vals]
+        nums, den = _over_common_denominator(vals)
         # checked on Python ints, before any fixed-width array exists
         total, sup = sum(nums), max(map(abs, nums))
         if total != 0:
@@ -168,6 +171,18 @@ def gamma_objective(g: Graph, x) -> float | Fraction:
     if abs(sup - 1) > 1e-9:
         raise InfeasibleVector(f"sup norm is {sup!r}, not 1")
     return float(np.abs(arr[u] - arr[v]).max(initial=0))
+
+
+def _over_common_denominator(vals):
+    """Integer numerators of rational entries over their least common denominator."""
+    den = math.lcm(*(int(w.denominator) for w in vals))
+    return [int(w.numerator) * (den // int(w.denominator)) for w in vals], den
+
+
+def _squared_norm(vals) -> Fraction:
+    """Exact squared 2-norm of rational entries, summed in integers."""
+    nums, den = _over_common_denominator(vals)
+    return Fraction(sum(k * k for k in nums), den * den)
 
 
 def wiener_index(g: Graph) -> int:
@@ -292,7 +307,8 @@ def cheeger_constant(g: Graph, max_n: int = _CHEEGER_MAX_N):
     and the first minimising S in ascending bitmask order. The subset count
     doubles per vertex, hence the size cap max_n. Whatever max_n is, n is
     also limited to _CHEEGER_WIDTH (48), a guard well inside the int64
-    subset masks. Memoised per graph.
+    subset masks that also keeps the enumeration's int16 counts exact.
+    Memoised per graph.
     """
     if g.n > _CHEEGER_WIDTH:
         raise FixedLimit(f"exact expansion enumeration capped at n <= {_CHEEGER_WIDTH}")
@@ -330,36 +346,60 @@ def _subset_tables(deg, nbr):
 def _exact_cheeger(g):
     """Meet in the middle: S is a low-half mask a (with vertex 0) plus a high mask b.
 
-    Internal edges are e_A[a] + e_B[b] + cross(b, a). Per block of <= 2^20 masks
-    (one b past n = 42), cross doubles over the low vertices' neighbours in b.
+    The boundary of S is bd_A[a] + bd_B[b] - 2 cross(b, a), where bd = vol - 2 inner
+    on each half and cross counts the edges between a and b. Per block of
+    _CHEEGER_BLOCK masks (from n = 33 on, one b and its 2^(h-1) masks), cross
+    doubles over the low vertices' neighbours in b. Masks are visited in
+    ascending order and only a strictly smaller quotient replaces the best, so
+    ties go to the first minimising mask.
     """
     n, h = g.n, (g.n + 1) // 2
     nbr = _neighbour_masks(g)
     deg = g.degrees()
-    vol_a, in_a = (t[1::2] for t in _subset_tables(deg[:h], nbr[:h] & ((1 << h) - 1)))
-    vol_b, in_b = _subset_tables(deg[h:], nbr[h:] >> h)
+    vol_a, bd_a = (t[1::2] for t in _vol_and_boundary(deg[:h], nbr[:h] & ((1 << h) - 1)))
+    vol_b, bd_b = _vol_and_boundary(deg[h:], nbr[h:] >> h)
     to_high = nbr[:h] >> h
-    rows = max(1, (1 << 20) // len(vol_a))
+    cols = len(vol_a)
+    rows = min(len(vol_b), max(1, _CHEEGER_BLOCK // cols))
+    cut = np.empty((rows, cols), dtype=np.int16)
+    denom, spare = np.empty_like(cut), np.empty_like(cut)
+    ratios = np.empty((rows, cols))
+    twice_m = np.int16(2 * g.m)
     best, best_mask = math.inf, 0
-    for b0 in range(0, len(vol_b), rows):
-        b = np.arange(b0, min(b0 + rows, len(vol_b)))
-        cross = np.bitwise_count(b[:, None] & to_high)
-        inside = np.empty((len(b), len(vol_a)), dtype=np.int64)
-        inside[:, 0] = cross[:, 0]
-        for k in range(1, h):
-            np.add(inside[:, :1 << k - 1], cross[:, k, None], out=inside[:, 1 << k - 1:1 << k])
-        inside += in_a + in_b[b, None]
-        vol = vol_a + vol_b[b, None]
-        denom = np.minimum(vol, 2 * g.m - vol)
-        # denom is 0 only at S = V, which is not a proper subset
-        ratios = np.divide(vol - 2 * inside, denom, out=np.full(denom.shape, math.inf),
-                           where=denom > 0)
-        i = int(np.argmin(ratios))
-        if ratios.flat[i] < best:
-            best = float(ratios.flat[i])
-            row, col = divmod(i, len(vol_a))
-            best_mask = (2 * col + 1) | int(b[row]) << h
+    # S = V, the last mask of the last block, is the only 0 / 0
+    with np.errstate(invalid="ignore"):
+        for b0 in range(0, len(vol_b), rows):
+            b = np.arange(b0, b0 + rows)
+            twice_cross = 2 * np.bitwise_count(b[:, None] & to_high).astype(np.int16)
+            np.subtract(bd_b[b], twice_cross[:, 0], out=cut[:, 0])
+            for k in range(1, h):
+                np.subtract(cut[:, :1 << k - 1], twice_cross[:, k, None],
+                            out=cut[:, 1 << k - 1:1 << k])
+            cut += bd_a
+            np.add(vol_a, vol_b[b, None], out=denom)
+            np.subtract(twice_m, denom, out=spare)
+            np.minimum(denom, spare, out=denom)
+            # float32 could misorder two quotients whose denominators reach m = 1128
+            np.divide(cut, denom, out=ratios, dtype=np.float64)
+            if b0 + rows == len(vol_b):
+                ratios[-1, -1] = math.inf  # S = V is not a proper subset
+            i = int(np.argmin(ratios))
+            if ratios.flat[i] < best:
+                best = float(ratios.flat[i])
+                row, col = divmod(i, cols)
+                best_mask = (2 * col + 1) | int(b[row]) << h
     return best, tuple(v for v in range(n) if best_mask >> v & 1)
+
+
+def _vol_and_boundary(deg, nbr):
+    """Volume and boundary of every subset of one half, as int16 tables.
+
+    For n <= _CHEEGER_WIDTH every volume, boundary and partial sum that the
+    enumeration forms lies within +-2m, and 2m <= 48 * 47 = 2256 < 2^15, so
+    int16 is exact.
+    """
+    vol, inner = _subset_tables(deg, nbr)
+    return vol.astype(np.int16), (vol - 2 * inner).astype(np.int16)
 
 
 def b_small_oracle(g: Graph) -> Fraction:
@@ -507,9 +547,8 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
             "l1_variation_upper", b_small_oracle(g), Fraction(m, 2) * gam, None))
 
     # squared 2-norm of the witness vs n/(n-1); equality iff complete (exact)
-    norm_sq = sum((w * w for w in cert.witness), _ZERO)
     entries.append(_exact_entry(
-        "witness_norm_lower", Fraction(n, n - 1), norm_sq, complete))
+        "witness_norm_lower", Fraction(n, n - 1), _squared_norm(cert.witness), complete))
 
     # algebraic connectivity vs (m(n-1)/n) * invariant^2 (strict)
     try:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from gammaconn import (
     gamma_objective,
     generate,
     graph,
+    invariants,
     is_connected,
     is_transmission_regular,
     normalized_laplacian_mu,
@@ -393,6 +395,18 @@ class TestSpectral:
         assert laplacian_matrix(g).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 
+def _cheeger_oracle_graphs(n):
+    # odd and even n put the pinned vertex's half and the other half at
+    # equal or unequal sizes; cycles and circulants are regular, random
+    # graphs and trees are not
+    graphs = [gnp_connected(n, 0.4, seed=n), random_tree(n, seed=n)]
+    if n >= 3:
+        graphs.append(family("cycle", n))
+    if n >= 5:
+        graphs.append(from_edge_list(n, [(v, (v + s) % n) for v in range(n) for s in (1, 2)]))
+    return graphs
+
+
 class TestCheeger:
     def test_examples(self):
         val, subset = cheeger_constant(family("complete", 4))
@@ -419,19 +433,39 @@ class TestCheeger:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_value_and_first_subset_match_oracle(self, n):
-        # odd and even n put the pinned vertex's half and the other half at
-        # equal or unequal sizes; cycles and circulants are regular, random
-        # graphs and trees are not
-        graphs = [gnp_connected(n, 0.4, seed=n), random_tree(n, seed=n)]
-        if n >= 3:
-            graphs.append(family("cycle", n))
-        if n >= 5:
-            graphs.append(from_edge_list(n, [(v, (v + s) % n) for v in range(n) for s in (1, 2)]))
-        for g in graphs:
+        for g in _cheeger_oracle_graphs(n):
             val, subset = cheeger_constant(g)
             want, want_subset = naive_cheeger(g.n, edge_list(g))
             assert val == float(want)
             assert subset == want_subset
+
+    @pytest.mark.parametrize("block", [2, 64])
+    def test_many_blocks_keep_value_and_first_subset(self, block, monkeypatch):
+        # block 2 gives one b row per block; block 64 several rows per block
+        # and several blocks from n = 8 on; the tied minima of the symmetric
+        # graphs check that the first one is kept across block boundaries
+        monkeypatch.setattr(invariants, "_CHEEGER_BLOCK", block)
+        graphs = [g for n in range(2, 15) for g in _cheeger_oracle_graphs(n)]
+        graphs += [family("cycle", 12), family("hypercube", 3), family("complete", 8)]
+        for g in graphs:
+            want, want_subset = naive_cheeger(g.n, edge_list(g))
+            assert invariants._exact_cheeger(g) == (float(want), tuple(want_subset))
+
+    def test_enumeration_memory_stays_small(self):
+        g = family("torus", 4, 6)
+        tracemalloc.start()
+        try:
+            invariants._exact_cheeger(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+    def test_int16_counts_cover_the_width_cap(self):
+        # 2m of the complete graph at the cap bounds every count the
+        # enumeration forms, which it keeps in int16
+        width = invariants._CHEEGER_WIDTH
+        assert width * (width - 1) < 2 ** 15
 
     def test_torus_4x6_pinned(self):
         val, subset = cheeger_constant(family("torus", 4, 6))
@@ -454,6 +488,15 @@ class TestCheeger:
 
 
 class TestBoundReport:
+    def test_witness_norm_is_the_fraction_sum(self):
+        rng = np.random.default_rng(20240808)
+        graphs = [family("path", 2000), family("torus", 4, 6)]
+        graphs += [gnp_connected(int(rng.integers(2, 17)), 0.4, rng) for _ in range(50)]
+        graphs += [gnp_disconnected(int(rng.integers(4, 21)), 0.15, rng) for _ in range(20)]
+        for g in graphs:
+            witness = gamma(g).witness
+            assert invariants._squared_norm(witness) == sum((w * w for w in witness), Fraction(0))
+
     def test_complete_graph_spectral_equality(self, k5):
         rep = bound_report(k5)
         e = rep.entry("spectral_radius_upper")
