@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict
 
 from . import invariants, lp
-from .edgelist import read_edge_list, write_edge_list
+from .edgelist import MAX_VERTICES, read_edge_list, write_edge_list
 from .errors import FixedLimit, GammaConnError, TooLarge
 from .families import FamilySpec, cartesian_product, generate
 # is_connected is unused here; perfbench/selftest.py checks that its tracer wraps cli.is_connected
@@ -27,18 +27,19 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-_DEFAULT_BENCH_LP_CAP = 60
+_BENCH_LP_CAP = 60  # bench's dense LP size cap; compute --lp runs one graph uncapped
+_LP_AGREEMENT = 1e-6  # how far the LP optimum may sit from the exact invariant
 
 _BENCH_FAMILIES = ("path", "cycle", "complete", "star", "hypercube")
 _TRANSMISSION_KEYS = ("wiener", "max_transmission", "transmission_argmax", "transmission_regular")
 _SPECTRAL_KEYS = ("distance_spectral_radius", "algebraic_connectivity", "normalized_laplacian_mu")
 
 
-def _size_cap(default):
-    """Size caps honour the GAMMA_MAX_N override (the user assumes the cost)."""
+def _cheeger_cap():
+    """The exact-expansion size cap: GAMMA_MAX_N if set (the user assumes the cost)."""
     raw = os.environ.get("GAMMA_MAX_N")
     if raw is None:
-        return default
+        return invariants._CHEEGER_MAX_N
     try:
         cap = int(raw)
     except ValueError:
@@ -77,7 +78,7 @@ def _skipped(reason):
 
 
 def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False,
-                          with_cheeger=False, with_bounds=False):
+                          with_cheeger=False):
     cert = invariants.gamma(g)
     connected = cert.connected
     # the witness repeats one Fraction object per distance shell (two when
@@ -106,8 +107,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     elif not connected:
         cheeger = _skipped("graph is disconnected")
     else:
-        cap = _size_cap(invariants._CHEEGER_MAX_N)
-        value, subset = invariants.cheeger_constant(g, max_n=cap)
+        value, subset = invariants.cheeger_constant(g, max_n=_cheeger_cap())
         cheeger = {"value": value, "subset": subset}
 
     inv = {}
@@ -134,11 +134,10 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
     inv["cheeger"] = cheeger
     doc["invariants"] = inv
 
-    if not with_bounds:
+    if command != "verify":
         doc["bounds"] = _skipped("bound report is produced by the verify command")
     else:
-        report = invariants.bound_report(
-            g, tol, cheeger_max_n=_size_cap(invariants._CHEEGER_MAX_N))
+        report = invariants.bound_report(g, tol, cheeger_max_n=_cheeger_cap())
         doc["bounds"] = {
             "entries": [asdict(e) for e in report.entries],
             "all_hold": report.all_hold,
@@ -154,7 +153,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
             "gamma": value,
             "per_k": per_k,
             "best_k": best_k,
-            "agrees": abs(value - float(cert.gamma)) <= 1e-6,
+            "agrees": abs(value - float(cert.gamma)) <= _LP_AGREEMENT,
         }
     return doc
 
@@ -163,56 +162,51 @@ def _render_fraction(d):
     return f"{d['num']}/{d['den']} ({d['approx']:.6g})"
 
 
-def _render_block(key, value, out):
+def _render_estimate(s):
+    return (f"{s['value']:.10g} (residual {s['residual']:.2e},"
+            f" {s['iterations']} iterations, converged={s['converged']})")
+
+
+def _render_bound(e):
+    if e["skipped"]:
+        return f"  {e['name']}: skipped ({e['reason']})"
+    eq = ""
+    if e["equality_attained"] is not None:
+        eq = (f" equality_attained={e['equality_attained']}"
+              f" equality_expected={e['equality_expected']}")
+    return f"  {e['name']}: {e['lhs']:.10g} {e['relation']} {e['rhs']:.10g} holds={e['holds']}{eq}"
+
+
+def _render_bounds(b):
+    return "\n".join([f"all_hold={b['all_hold']}", *map(_render_bound, b["entries"])])
+
+
+# each block of the text output, in order, with the formatter of a block that ran
+_BLOCK_FORMATS = {
+    **dict.fromkeys(_TRANSMISSION_KEYS, str),
+    **dict.fromkeys(_SPECTRAL_KEYS, _render_estimate),
+    "cheeger": lambda c: f"{c['value']:.10g} subset={c['subset']}",
+    "bounds": _render_bounds,
+    "oracle": lambda o: f"gamma={o['gamma']:.10g} best_k={o['best_k']} agrees={o['agrees']}",
+}
+
+
+def _render_block(key, value):
     if isinstance(value, dict) and "skipped" in value:
-        out.append(f"{key}: skipped ({value['skipped']})")
-    else:
-        out.append(f"{key}: {value}")
+        return f"{key}: skipped ({value['skipped']})"
+    return f"{key}: {_BLOCK_FORMATS[key](value)}"
 
 
 def render_text(doc):
-    out = []
     gr = doc["graph"]
-    out.append(f"graph: n={gr['n']} m={gr['m']} connected={gr['connected']} tree={gr['tree']}")
-    out.append(f"gamma: {_render_fraction(doc['gamma'])}")
-    out.append(f"attaining vertex: {doc['attaining_vertex']}")
-    out.append(f"witness valid: {doc['witness']['valid']}")
-    inv = doc["invariants"]
-    for key in _TRANSMISSION_KEYS:
-        _render_block(key, inv[key], out)
-    for key in _SPECTRAL_KEYS:
-        if isinstance(inv[key], dict) and "skipped" in inv[key]:
-            _render_block(key, inv[key], out)
-        else:
-            s = inv[key]
-            out.append(f"{key}: {s['value']:.10g} (residual {s['residual']:.2e},"
-                       f" {s['iterations']} iterations, converged={s['converged']})")
-    if isinstance(inv["cheeger"], dict) and "skipped" in inv["cheeger"]:
-        _render_block("cheeger", inv["cheeger"], out)
-    else:
-        out.append(f"cheeger: {inv['cheeger']['value']:.10g} subset={inv['cheeger']['subset']}")
-    bounds = doc["bounds"]
-    if isinstance(bounds, dict) and "skipped" in bounds:
-        _render_block("bounds", bounds, out)
-    else:
-        out.append(f"bounds: all_hold={bounds['all_hold']}")
-        for e in bounds["entries"]:
-            if e["skipped"]:
-                out.append(f"  {e['name']}: skipped ({e['reason']})")
-            else:
-                eq = ""
-                if e["equality_attained"] is not None:
-                    eq = (f" equality_attained={e['equality_attained']}"
-                          f" equality_expected={e['equality_expected']}")
-                out.append(f"  {e['name']}: {e['lhs']:.10g} {e['relation']} {e['rhs']:.10g}"
-                           f" holds={e['holds']}{eq}")
-    oracle = doc["oracle"]
-    if isinstance(oracle, dict) and "skipped" in oracle:
-        _render_block("oracle", oracle, out)
-    else:
-        out.append(f"oracle: gamma={oracle['gamma']:.10g} best_k={oracle['best_k']}"
-                   f" agrees={oracle['agrees']}")
-    return "\n".join(out)
+    blocks = {**doc["invariants"], "bounds": doc["bounds"], "oracle": doc["oracle"]}
+    return "\n".join([
+        f"graph: n={gr['n']} m={gr['m']} connected={gr['connected']} tree={gr['tree']}",
+        f"gamma: {_render_fraction(doc['gamma'])}",
+        f"attaining vertex: {doc['attaining_vertex']}",
+        f"witness valid: {doc['witness']['valid']}",
+        *(_render_block(key, blocks[key]) for key in _BLOCK_FORMATS),
+    ])
 
 
 def _emit(doc, as_json):
@@ -232,21 +226,15 @@ def _emit(doc, as_json):
     print(f'{head}"vector": [{items}\n    ]{tail}')  # n >= 2, so never empty
 
 
-def _cmd_compute(args):
+def _cmd_analyse(args):
+    """compute and verify: verify adds the bound report and an exit-1 verdict."""
     g = read_edge_list(args.input)
     doc = build_result_document(
-        g, command="compute", tol=args.tol, with_lp=args.lp,
+        g, command=args.command, tol=args.tol, with_lp=args.lp,
         with_spectral=args.spectral, with_cheeger=args.cheeger)
     _emit(doc, args.json)
-    return EXIT_OK
-
-
-def _cmd_verify(args):
-    g = read_edge_list(args.input)
-    doc = build_result_document(
-        g, command="verify", tol=args.tol, with_lp=args.lp,
-        with_spectral=args.spectral, with_cheeger=args.cheeger, with_bounds=True)
-    _emit(doc, args.json)
+    if args.command != "verify":
+        return EXIT_OK
     oracle = doc["oracle"]
     passed = (doc["bounds"]["all_hold"] and doc["witness"]["valid"]
               and ("skipped" in oracle or oracle["agrees"]))
@@ -254,22 +242,29 @@ def _cmd_verify(args):
 
 
 def _parse_params(raw):
-    if not raw:
-        return ()
     return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+def _check_writable(n):
+    """Writers refuse the graphs that read_edge_list would refuse."""
+    if n > MAX_VERTICES:
+        raise FixedLimit(f"edge-list files are capped at n <= {MAX_VERTICES}, got n={n}")
+
+
+def _write_graph(args, g, label, **fields):
+    _check_writable(g.n)
+    write_edge_list(g, args.output)
+    if args.json:
+        doc = {"command": args.command, **fields, "path": args.output, "n": g.n, "m": g.m}
+        print(json.dumps(doc, indent=2))
+    else:
+        print(f"wrote {label}: n={g.n} m={g.m} -> {args.output}")
+    return EXIT_OK
 
 
 def _cmd_generate(args):
     spec = FamilySpec(args.family, _parse_params(args.params))
-    g = generate(spec)
-    write_edge_list(g, args.output)
-    doc = {"command": "generate", "family": str(spec), "path": args.output,
-           "n": g.n, "m": g.m}
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"wrote {str(spec)}: n={g.n} m={g.m} -> {args.output}")
-    return EXIT_OK
+    return _write_graph(args, generate(spec), str(spec), family=str(spec))
 
 
 def _cmd_product(args):
@@ -277,15 +272,9 @@ def _cmd_product(args):
         print("error: product needs at least 2 input graphs", file=sys.stderr)
         return EXIT_INPUT
     factors = [read_edge_list(path) for path in args.inputs]
-    g = cartesian_product(factors)
-    write_edge_list(g, args.output)
-    doc = {"command": "product", "factors": [f.n for f in factors],
-           "path": args.output, "n": g.n, "m": g.m}
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"wrote product: n={g.n} m={g.m} -> {args.output}")
-    return EXIT_OK
+    _check_writable(math.prod(f.n for f in factors))
+    return _write_graph(args, cartesian_product(factors), "product",
+                        factors=[f.n for f in factors])
 
 
 def _parse_sizes(raw):
@@ -307,10 +296,8 @@ def _cmd_bench(args):
         print(f"error: bench supports single-parameter families {_BENCH_FAMILIES}",
               file=sys.stderr)
         return EXIT_INPUT
-    sizes = _parse_sizes(args.sizes)
-    lp_cap = _size_cap(_DEFAULT_BENCH_LP_CAP)
     rows = []
-    for size in sizes:
+    for size in _parse_sizes(args.sizes):
         spec = FamilySpec(args.family, (size,))
         g = generate(spec)
         row = {"family": args.family, "size": size, "n": g.n, "m": g.m,
@@ -322,13 +309,13 @@ def _cmd_bench(args):
             row["formula_seconds"] = time.perf_counter() - t0
             row["formula_gamma"] = float(cert.gamma)
         if args.method in ("lp", "both"):
-            if g.n > lp_cap:
-                raise TooLarge(f"LP benchmark capped at n <= {lp_cap}")
+            if g.n > _BENCH_LP_CAP:
+                raise FixedLimit(f"LP benchmark capped at n <= {_BENCH_LP_CAP}")
             t0 = time.perf_counter()
             row["lp_gamma"] = lp.gamma_via_lp(g)
             row["lp_seconds"] = time.perf_counter() - t0
         if row["formula_gamma"] is not None and row["lp_gamma"] is not None:
-            row["agree"] = abs(row["formula_gamma"] - row["lp_gamma"]) <= 1e-6
+            row["agree"] = abs(row["formula_gamma"] - row["lp_gamma"]) <= _LP_AGREEMENT
         rows.append(row)
     if args.json:
         print(json.dumps({"command": "bench", "rows": rows}, indent=2))
@@ -351,19 +338,14 @@ def build_parser():
                         help="residual tolerance of the spectral estimates (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="invariant and certificate of one graph")
-    p.add_argument("input", help="edge-list file")
-    p.add_argument("--lp", action="store_true", help="also run the LP oracle")
-    p.add_argument("--spectral", action="store_true", help="also run spectral estimates")
-    p.add_argument("--cheeger", action="store_true", help="also run exact expansion")
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("verify", help="evaluate every comparison bound")
-    p.add_argument("input", help="edge-list file")
-    p.add_argument("--lp", action="store_true")
-    p.add_argument("--spectral", action="store_true")
-    p.add_argument("--cheeger", action="store_true")
-    p.set_defaults(func=_cmd_verify)
+    for command, help_text in (("compute", "invariant and certificate of one graph"),
+                               ("verify", "evaluate every comparison bound")):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("input", help="edge-list file")
+        p.add_argument("--lp", action="store_true", help="also run the LP oracle")
+        p.add_argument("--spectral", action="store_true", help="also run spectral estimates")
+        p.add_argument("--cheeger", action="store_true", help="also run exact expansion")
+        p.set_defaults(func=_cmd_analyse)
 
     p = sub.add_parser("generate", help="write a family member to disk")
     p.add_argument("--family", required=True)

@@ -163,8 +163,6 @@ def closed_form_gamma(spec: FamilySpec) -> Fraction:
         return Fraction(p[0], 2 * p[0] - 3)
     if kind == "complete_bipartite":
         m, n = p
-        if m + n < 2:
-            raise InvalidSpec("complete_bipartite closed form needs >= 2 vertices")
         return Fraction(m + n, 2 * m + n - 2)
     if kind == "hypercube":
         return Fraction(2, p[0])

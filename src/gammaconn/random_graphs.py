@@ -24,22 +24,24 @@ def gnp(n, p, seed) -> Graph:
     return from_edge_list(n, [pair for pair, keep in zip(pairs, mask) if keep])
 
 
+def _draw_until(draw, connected, max_tries, params) -> Graph:
+    """The first of up to max_tries draw() results g with is_connected(g) == connected."""
+    for _ in range(max_tries):
+        g = draw()
+        if is_connected(g) == connected:
+            return g
+    kind = "connected" if connected else "disconnected"
+    raise RuntimeError(f"no {kind} draw in {max_tries} tries ({params})")
+
+
 def gnp_connected(n, p, seed, max_tries=10_000) -> Graph:
     rng = _rng(seed)
-    for _ in range(max_tries):
-        g = gnp(n, p, rng)
-        if is_connected(g):
-            return g
-    raise RuntimeError(f"no connected draw in {max_tries} tries (n={n}, p={p})")
+    return _draw_until(lambda: gnp(n, p, rng), True, max_tries, f"n={n}, p={p}")
 
 
 def gnp_disconnected(n, p, seed, max_tries=10_000) -> Graph:
     rng = _rng(seed)
-    for _ in range(max_tries):
-        g = gnp(n, p, rng)
-        if not is_connected(g):
-            return g
-    raise RuntimeError(f"no disconnected draw in {max_tries} tries (n={n}, p={p})")
+    return _draw_until(lambda: gnp(n, p, rng), False, max_tries, f"n={n}, p={p}")
 
 
 def gnm(n, m, seed) -> Graph:
@@ -58,11 +60,7 @@ def gnm(n, m, seed) -> Graph:
 
 def gnm_connected(n, m, seed, max_tries=1000) -> Graph:
     rng = _rng(seed)
-    for _ in range(max_tries):
-        g = gnm(n, m, rng)
-        if is_connected(g):
-            return g
-    raise RuntimeError(f"no connected draw in {max_tries} tries (n={n}, m={m})")
+    return _draw_until(lambda: gnm(n, m, rng), True, max_tries, f"n={n}, m={m}")
 
 
 def random_tree(n, seed) -> Graph:

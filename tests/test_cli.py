@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammaconn import edgelist, from_edge_list, generate, graph, invariants, lp
+from gammaconn import cli, edgelist, from_edge_list, generate, graph, invariants, lp
 from gammaconn.cli import _emit, build_result_document, main, render_text
 from gammaconn.edgelist import (
     MAX_VERTICES,
@@ -285,6 +286,16 @@ class TestComputeCommand:
         assert code == 2
         assert err == f"error: GAMMA_MAX_N must be a positive integer, got {override!r}\n"
 
+    def test_malformed_cap_override_read_only_with_cheeger(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GAMMA_MAX_N", "x")
+        path = tmp_path / "c6.txt"
+        write_edge_list(family("cycle", 6), path)
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "compute", str(path), "--cheeger")
+        assert (code, out) == (2, "")
+        assert err == "error: GAMMA_MAX_N must be an integer, got 'x'\n"
+
     def test_cap_override_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAMMA_MAX_N", "30")
         path = tmp_path / "c26.txt"
@@ -295,6 +306,16 @@ class TestComputeCommand:
 
 
 class TestVerifyCommand:
+    def test_flags_and_help_match_compute(self, capsys):
+        helps = []
+        for command in ("compute", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out.replace(command, "COMMAND"))
+        assert helps[0] == helps[1]
+        assert "also run exact expansion" in helps[1]
+
     def test_k5_all_hold(self, tmp_path, capsys):
         path = tmp_path / "k5.txt"
         write_edge_list(family("complete", 5), path)
@@ -445,8 +466,7 @@ class TestEmit:
 
     @staticmethod
     def check(capsys, g, command, flags):
-        doc = build_result_document(g, command=command, tol=1e-9,
-                                    with_bounds=command == "verify", **flags)
+        doc = build_result_document(g, command=command, tol=1e-9, **flags)
         # the same data with one fresh entry dict per vertex, nothing shared
         fresh = [{"num": w.numerator, "den": w.denominator, "approx": float(w)}
                  for w in invariants.gamma(g).witness]
@@ -476,6 +496,68 @@ class TestEmit:
         self.check(capsys, g, "compute", flags)
         if graph.is_connected(g):  # verify refuses disconnected graphs
             self.check(capsys, g, "verify", flags)
+
+
+def _rendered_doc(run):
+    skip = {"skipped": "why"}
+    estimate = {"value": 2.5, "residual": 1.25e-11, "iterations": 7, "converged": True}
+    bound = {"name": "tree_upper", "lhs": 0.5, "relation": "<=", "rhs": 1.0, "holds": True,
+             "equality_attained": None, "equality_expected": None,
+             "skipped": False, "reason": None}
+    return {
+        "graph": {"n": 4, "m": 3, "connected": True, "tree": True},
+        "gamma": {"num": 2, "den": 3, "approx": 2 / 3},
+        "attaining_vertex": 1,
+        "witness": {"valid": True},
+        "invariants": {
+            "wiener": 10 if run else skip,
+            "max_transmission": 6 if run else skip,
+            "transmission_argmax": [0, 3] if run else skip,
+            "transmission_regular": False if run else skip,
+            "distance_spectral_radius": estimate if run else skip,
+            "algebraic_connectivity": estimate if run else skip,
+            "normalized_laplacian_mu": estimate if run else skip,
+            "cheeger": {"value": 1 / 3, "subset": [0, 1]} if run else skip,
+        },
+        "bounds": {"all_hold": True, "entries": [
+            bound,
+            {**bound, "name": "star_lower", "equality_attained": True,
+             "equality_expected": False},
+            {**bound, "name": "l1_variation_upper", "skipped": True, "reason": "capped"},
+        ]} if run else skip,
+        "oracle": {"gamma": 2 / 3, "per_k": [], "best_k": 2, "agrees": True} if run else skip,
+    }
+
+
+class TestRenderText:
+    HEAD = ("graph: n=4 m=3 connected=True tree=True\n"
+            "gamma: 2/3 (0.666667)\n"
+            "attaining vertex: 1\n"
+            "witness valid: True\n")
+
+    def test_every_block_skipped(self):
+        keys = ["wiener", "max_transmission", "transmission_argmax", "transmission_regular",
+                "distance_spectral_radius", "algebraic_connectivity",
+                "normalized_laplacian_mu", "cheeger", "bounds", "oracle"]
+        assert render_text(_rendered_doc(False)) == self.HEAD + "\n".join(
+            f"{key}: skipped (why)" for key in keys)
+
+    def test_every_block_ran(self):
+        estimate = "2.5 (residual 1.25e-11, 7 iterations, converged=True)"
+        assert render_text(_rendered_doc(True)) == self.HEAD + (
+            "wiener: 10\n"
+            "max_transmission: 6\n"
+            "transmission_argmax: [0, 3]\n"
+            "transmission_regular: False\n"
+            f"distance_spectral_radius: {estimate}\n"
+            f"algebraic_connectivity: {estimate}\n"
+            f"normalized_laplacian_mu: {estimate}\n"
+            "cheeger: 0.3333333333 subset=[0, 1]\n"
+            "bounds: all_hold=True\n"
+            "  tree_upper: 0.5 <= 1 holds=True\n"
+            "  star_lower: 0.5 <= 1 holds=True equality_attained=True equality_expected=False\n"
+            "  l1_variation_upper: skipped (capped)\n"
+            "oracle: gamma=0.6666666667 best_k=2 agrees=True")
 
 
 class TestOncePerGraph:
@@ -557,6 +639,37 @@ class TestGenerateAndProduct:
                              "--params", "2", "-o", str(tmp_path / "x.txt"))
         assert code == 2
 
+    def test_generate_output_lines(self, tmp_path, capsys):
+        out_path = str(tmp_path / "c6.txt")
+        code, out, _ = run_cli(capsys, "--json", "generate", "--family", "cycle",
+                               "--params", "6", "-o", out_path)
+        assert code == 0
+        assert out == json.dumps({"command": "generate", "family": "cycle(6)",
+                                  "path": out_path, "n": 6, "m": 6}, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "generate", "--family", "petersen", "-o", out_path)
+        assert code == 0
+        assert out == f"wrote petersen: n=10 m=15 -> {out_path}\n"
+        assert read_edge_list(out_path) == family("petersen")
+
+    def test_generate_refuses_what_the_reader_refuses(self, tmp_path, capsys):
+        out_path = tmp_path / "p.txt"
+        code, out, err = run_cli(capsys, "generate", "--family", "path",
+                                 "--params", str(MAX_VERTICES + 1), "-o", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == (f"error: edge-list files are capped at n <= {MAX_VERTICES},"
+                       f" got n={MAX_VERTICES + 1}\n")
+        assert not out_path.exists()
+
+    def test_product_refuses_before_building(self, tmp_path, capsys, monkeypatch):
+        p1025 = tmp_path / "p1025.txt"
+        write_edge_list(family("path", 1025), p1025)
+        built = counted(monkeypatch, cli, "cartesian_product")
+        out_path = tmp_path / "big.txt"
+        code, out, err = run_cli(capsys, "product", str(p1025), str(p1025), "-o", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == f"error: edge-list files are capped at n <= {MAX_VERTICES}, got n=1050625\n"
+        assert built == [] and not out_path.exists()
+
     def test_product_three_edges_gives_cube(self, tmp_path, capsys):
         k2 = tmp_path / "k2.txt"
         write_edge_list(family("complete", 2), k2)
@@ -582,6 +695,19 @@ class TestGenerateAndProduct:
         g = read_edge_list(out_path)
         assert (g.n, g.m) == (6, 7)
 
+    def test_product_output_lines(self, tmp_path, capsys):
+        p2, p3 = tmp_path / "p2.txt", tmp_path / "p3.txt"
+        write_edge_list(family("path", 2), p2)
+        write_edge_list(family("path", 3), p3)
+        out_path = str(tmp_path / "grid.txt")
+        code, out, _ = run_cli(capsys, "--json", "product", str(p2), str(p3), "-o", out_path)
+        assert code == 0
+        assert out == json.dumps({"command": "product", "factors": [2, 3], "path": out_path,
+                                  "n": 6, "m": 7}, indent=2) + "\n"
+        code, out, _ = run_cli(capsys, "product", str(p2), str(p3), "-o", out_path)
+        assert code == 0
+        assert out == f"wrote product: n=6 m=7 -> {out_path}\n"
+
 
 class TestBenchCommand:
     def test_cycles_agree(self, capsys):
@@ -605,6 +731,49 @@ class TestBenchCommand:
         code, _, _ = run_cli(capsys, "bench", "--family", "path",
                              "--sizes", "99", "--method", "lp")
         assert code == 3
+
+    def test_text_table(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--family", "cycle", "--sizes", "6..8")
+        assert code == 0
+        head, *rows = out.splitlines()
+        assert head == "  size      n        m    formula_s         lp_s  agree"
+        assert [row.split()[:3] + row.split()[5:] for row in rows] == [
+            [str(k), str(k), str(k), "True"] for k in (6, 7, 8)]
+        assert all(re.fullmatch(r" +\d+ +\d+ +\d+ +\d+\.\d{6} +\d+\.\d{6} +True", row)
+                   for row in rows)
+        code, out, _ = run_cli(capsys, "bench", "--family", "path", "--sizes", "5",
+                               "--method", "formula")
+        assert code == 0
+        assert re.fullmatch(r" +5 +5 +4 +\d+\.\d{6} +- +-", out.splitlines()[1])
+
+    def test_unsupported_family_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--family", "torus", "--sizes", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: bench supports single-parameter families"
+                       " ('path', 'cycle', 'complete', 'star', 'hypercube')\n")
+
+    def test_no_sizes_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--family", "path", "--sizes", ",")
+        assert (code, out, err) == (2, "", "error: no sizes given\n")
+
+    def test_cap_override_leaves_the_lp_cap(self, capsys, monkeypatch):
+        # GAMMA_MAX_N sets the exact-expansion cap only
+        monkeypatch.setenv("GAMMA_MAX_N", "30")
+        code, out, _ = run_cli(capsys, "--json", "bench", "--family", "cycle",
+                               "--sizes", "40", "--method", "both")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["agree"] is True
+        monkeypatch.setenv("GAMMA_MAX_N", "100")
+        code, _, err = run_cli(capsys, "bench", "--family", "path",
+                               "--sizes", "99", "--method", "lp")
+        assert code == 3
+        assert "n <= 60" in err and "GAMMA_MAX_N" not in err
+
+    def test_malformed_cap_override_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAMMA_MAX_N", "x")
+        code, _, _ = run_cli(capsys, "--json", "bench", "--family", "path",
+                             "--sizes", "50", "--method", "formula")
+        assert code == 0
 
     def test_complete_per_k_constant(self, capsys):
         # every pinned vertex of a complete graph yields the same optimum
