@@ -15,18 +15,13 @@ from .families import (
 )
 from .graph import (
     UNREACHABLE,
-    DistanceProfile,
     Graph,
     TransmissionTable,
-    bfs_distances,
     components,
-    diameter,
     distance_matrix,
     from_edge_list,
     is_connected,
     is_tree,
-    pendant_vertices,
-    shells,
     transmission_table,
     tree_transmissions,
 )
@@ -46,14 +41,11 @@ from .invariants import (
     gamma_objective,
     is_transmission_regular,
     normalized_laplacian_mu,
-    wiener_index,
 )
 from .lp import (
     LinearProgram,
     LPSolution,
-    build_lp_k,
     gamma_lp_details,
-    gamma_via_lp,
     simplex_solve,
 )
 
@@ -62,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundEntry",
     "BoundReport",
-    "DistanceProfile",
     "FamilySpec",
     "GammaCertificate",
     "Graph",
@@ -75,14 +66,11 @@ __all__ = [
     "WitnessResiduals",
     "algebraic_connectivity",
     "b_small_oracle",
-    "bfs_distances",
     "bound_report",
-    "build_lp_k",
     "cartesian_product",
     "cheeger_constant",
     "closed_form_gamma",
     "components",
-    "diameter",
     "distance_matrix",
     "distance_spectral_radius",
     "errors",
@@ -91,16 +79,12 @@ __all__ = [
     "gamma_harmonic",
     "gamma_lp_details",
     "gamma_objective",
-    "gamma_via_lp",
     "generate",
     "is_connected",
     "is_transmission_regular",
     "is_tree",
     "normalized_laplacian_mu",
-    "pendant_vertices",
-    "shells",
     "simplex_solve",
     "transmission_table",
     "tree_transmissions",
-    "wiener_index",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: compute | verify | generate | product | bench.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 size-cap
-violation. JSON output is schema-stable: analyses that did not run appear
-as {"skipped": reason} rather than being omitted.
+Exit codes: 0 success, 1 verification failure (verify: a failed bound,
+certificate or oracle; bench: a row whose formula and LP values disagree),
+2 input error, 3 size-cap violation. JSON output is schema-stable: analyses
+that did not run appear as {"skipped": reason} rather than being omitted.
 """
 
 from __future__ import annotations
@@ -246,13 +247,15 @@ def _parse_params(raw):
 
 
 def _check_writable(n):
-    """Writers refuse the graphs that read_edge_list would refuse."""
+    """Refuse, before anything is built, a graph that read_edge_list would refuse."""
     if n > MAX_VERTICES:
         raise FixedLimit(f"edge-list files are capped at n <= {MAX_VERTICES}, got n={n}")
 
 
-def _write_graph(args, g, label, **fields):
-    _check_writable(g.n)
+def _write_graph(args, n, build, label, **fields):
+    """Check the vertex count n, then build the graph and write it."""
+    _check_writable(n)
+    g = build()
     write_edge_list(g, args.output)
     if args.json:
         doc = {"command": args.command, **fields, "path": args.output, "n": g.n, "m": g.m}
@@ -264,7 +267,7 @@ def _write_graph(args, g, label, **fields):
 
 def _cmd_generate(args):
     spec = FamilySpec(args.family, _parse_params(args.params))
-    return _write_graph(args, generate(spec), str(spec), family=str(spec))
+    return _write_graph(args, spec.n, lambda: generate(spec), str(spec), family=str(spec))
 
 
 def _cmd_product(args):
@@ -272,8 +275,8 @@ def _cmd_product(args):
         print("error: product needs at least 2 input graphs", file=sys.stderr)
         return EXIT_INPUT
     factors = [read_edge_list(path) for path in args.inputs]
-    _check_writable(math.prod(f.n for f in factors))
-    return _write_graph(args, cartesian_product(factors), "product",
+    return _write_graph(args, math.prod(f.n for f in factors),
+                        lambda: cartesian_product(factors), "product",
                         factors=[f.n for f in factors])
 
 
@@ -299,6 +302,9 @@ def _cmd_bench(args):
     rows = []
     for size in _parse_sizes(args.sizes):
         spec = FamilySpec(args.family, (size,))
+        _check_writable(spec.n)
+        if args.method in ("lp", "both") and spec.n > _BENCH_LP_CAP:
+            raise FixedLimit(f"LP benchmark capped at n <= {_BENCH_LP_CAP}")
         g = generate(spec)
         row = {"family": args.family, "size": size, "n": g.n, "m": g.m,
                "formula_seconds": None, "formula_gamma": None,
@@ -309,10 +315,8 @@ def _cmd_bench(args):
             row["formula_seconds"] = time.perf_counter() - t0
             row["formula_gamma"] = float(cert.gamma)
         if args.method in ("lp", "both"):
-            if g.n > _BENCH_LP_CAP:
-                raise FixedLimit(f"LP benchmark capped at n <= {_BENCH_LP_CAP}")
             t0 = time.perf_counter()
-            row["lp_gamma"] = lp.gamma_via_lp(g)
+            row["lp_gamma"] = lp.gamma_lp_details(g)[0]
             row["lp_seconds"] = time.perf_counter() - t0
         if row["formula_gamma"] is not None and row["lp_gamma"] is not None:
             row["agree"] = abs(row["formula_gamma"] - row["lp_gamma"]) <= _LP_AGREEMENT
@@ -326,7 +330,7 @@ def _cmd_bench(args):
             ls = f"{r['lp_seconds']:.6f}" if r["lp_seconds"] is not None else "-"
             ag = "-" if r["agree"] is None else str(r["agree"])
             print(f"{r['size']:>6} {r['n']:>6} {r['m']:>8} {fs:>12} {ls:>12} {ag:>6}")
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if any(r["agree"] is False for r in rows) else EXIT_OK
 
 
 def build_parser():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -49,6 +50,22 @@ class FamilySpec:
             raise InvalidSpec("hamming needs alphabet size s >= 2")
         if self.kind == "torus" and min(self.params) < 3:
             raise InvalidSpec("torus needs both cycle lengths >= 3")
+
+    @property
+    def n(self):
+        """Vertex count of the member, from the parameters alone (nothing is built)."""
+        kind, p = self.kind, self.params
+        if kind == "complete_bipartite":
+            return p[0] + p[1]
+        if kind == "hypercube":
+            return 2 ** p[0]
+        if kind == "hamming":
+            return p[1] ** p[0]
+        if kind in ("grid3", "torus"):
+            return math.prod(p)
+        if kind == "petersen":
+            return 10
+        return p[0]
 
     def __str__(self):
         if self.params:

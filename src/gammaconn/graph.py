@@ -65,11 +65,6 @@ class Graph:
         self._memo = {}
 
     @property
-    def adjacency(self):
-        """Per-vertex sorted tuple of neighbor ids."""
-        return tuple(tuple(nbrs) for nbrs in self._adj)
-
-    @property
     def edges(self):
         """m x 2 array of edges with u < v, sorted lexicographically."""
         return self._edges
@@ -211,27 +206,6 @@ def _all_sources_levels(g):
             frontier = nxt
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Single-source BFS result: exact hop counts plus derived scalars."""
-
-    source: int
-    dist: np.ndarray
-    eccentricity: int
-    transmission: int | None  # None when some vertex is unreachable
-
-
-def bfs_distances(g, u):
-    """Exact shortest-path hop counts from u; UNREACHABLE marks absent paths."""
-    if not 0 <= u < g.n:
-        raise VertexOutOfRange(f"vertex {u} not in [0, {g.n})")
-    dist = _distances(g, u)
-    reachable = dist >= 0
-    ecc = int(dist[reachable].max())
-    tr = int(dist.sum()) if bool(reachable.all()) else None
-    return DistanceProfile(source=u, dist=dist, eccentricity=ecc, transmission=tr)
-
-
 def _root_bfs(g):
     """Vertex 0's BFS as read-only tuples (order, dist); memoised per graph."""
     def run():
@@ -308,29 +282,6 @@ def _kernel_transmissions(g):
     for _, level, nxt in _all_sources_levels(g):
         tr += level * np.bitwise_count(nxt).sum(axis=0, dtype=np.int64)
     return _table_from_transmissions(tr)
-
-
-def shells(g, u):
-    """Partition of V by distance from u: list of sorted vertex lists, index = distance."""
-    if not 0 <= u < g.n:
-        raise VertexOutOfRange(f"vertex {u} not in [0, {g.n})")
-    dist = _distances(g, u)
-    if (dist < 0).any():
-        raise DisconnectedGraph("shells are defined for connected graphs only")
-    ecc = int(dist.max())
-    return [sorted(int(v) for v in np.flatnonzero(dist == r)) for r in range(ecc + 1)]
-
-
-def diameter(g):
-    """Maximum eccentricity over all sources."""
-    if not is_connected(g):
-        raise DisconnectedGraph("diameter is defined for connected graphs only")
-    return max((level for _, level, _ in _all_sources_levels(g)), default=0)
-
-
-def pendant_vertices(g):
-    """All degree-1 vertices, ascending."""
-    return [int(v) for v in np.flatnonzero(g.degrees() == 1)]
 
 
 def is_tree(g):

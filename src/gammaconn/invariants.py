@@ -185,11 +185,6 @@ def _squared_norm(vals) -> Fraction:
     return Fraction(sum(k * k for k in nums), den * den)
 
 
-def wiener_index(g: Graph) -> int:
-    """Sum of distances over unordered vertex pairs (half the transmission total)."""
-    return transmission_table(g).wiener
-
-
 def is_transmission_regular(g: Graph) -> bool:
     tr = transmission_table(g).tr
     return bool((tr == tr[0]).all())

@@ -3,9 +3,10 @@
 A small dense two-phase bounded-variable simplex (box bounds stay on the
 variables instead of becoming rows; Bland's rule, hence deterministic and
 cycle-free) drives the per-vertex minimax oracle, whose minimum over
-pinned vertices reproduces the invariant. `build_lp_k` states program k
-in primal form (2m + 1 rows); the oracle solves each program cold in its
-dual form, which has n + 1 rows and starts feasible from the slack basis.
+pinned vertices reproduces the invariant. Program k minimises the largest
+edge difference |x_u - x_v| subject to sum(x) = 0, -1 <= x <= 1 and x_k = 1;
+its primal form has 2m + 1 rows, so the oracle solves each program cold in
+its dual form, which has n + 1 rows and starts feasible from the slack basis.
 
 The pivoting tolerance is fixed at `_TOL` = 1e-9; no caller sets it.
 """
@@ -22,7 +23,6 @@ from .errors import (
     GammaConnError,
     IterationCap,
     TooSmall,
-    VertexOutOfRange,
 )
 from .graph import Graph, is_connected
 
@@ -180,38 +180,6 @@ def simplex_solve(lp: LinearProgram) -> LPSolution:
 # ---------------------------------------------------------------------------
 # invariant oracle
 
-def build_lp_k(g: Graph, k: int) -> LinearProgram:
-    """Minimax edge-difference program with vertex k pinned to 1.
-
-    Variables are x_0..x_{n-1} and the objective variable y (last). Pinning
-    is encoded as equal bounds; y inherits the implied window [0, 2].
-    """
-    if not 0 <= k < g.n:
-        raise VertexOutOfRange(f"vertex {k} not in [0, {g.n})")
-    n = g.n
-    y = n
-    objective = [0.0] * n + [1.0]
-    constraints = []
-    for u, v in g.edges:
-        row = [0.0] * (n + 1)
-        row[u], row[v], row[y] = 1.0, -1.0, -1.0
-        constraints.append((tuple(row), LESS_EQ, 0.0))
-        row = [0.0] * (n + 1)
-        row[u], row[v], row[y] = -1.0, 1.0, -1.0
-        constraints.append((tuple(row), LESS_EQ, 0.0))
-    constraints.append((tuple([1.0] * n + [0.0]), EQUAL, 0.0))
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 2.0)]
-    bounds[k] = (1.0, 1.0)
-    return LinearProgram(n + 1, tuple(objective), tuple(constraints), tuple(bounds))
-
-
-def solve_lp_k(g: Graph, k: int) -> LPSolution:
-    sol = simplex_solve(build_lp_k(g, k))
-    if sol.status != OPTIMAL:
-        raise GammaConnError(f"pinned-vertex LP at k={k} reported {sol.status}")
-    return sol
-
-
 def _pinned_duals(g: Graph):
     """Yield the LP dual of the pinned-vertex program for k = 0..n-1.
 
@@ -269,8 +237,3 @@ def gamma_lp_details(g: Graph):
             best = per_k[k]
             best_k = k
     return best, per_k, best_k
-
-
-def gamma_via_lp(g: Graph) -> float:
-    """Minimum over pinned vertices of the minimax program's optimum."""
-    return gamma_lp_details(g)[0]

@@ -5,9 +5,11 @@ from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
 enumeration, the witness objective from a per-edge loop, edge-list parsing
 from a per-line loop, graph construction from sorted Python lists. Tests
-compare package output against these, never against itself. The one exception,
-`naive_l1_lp`, runs the package simplex on a formulation that shares
-nothing with the subset formula it checks.
+compare package output against these, never against itself. Two exceptions
+run the package simplex, each on a formulation that shares nothing with what
+it checks: `naive_l1_lp` (one LP per sign pattern, against the subset
+formula) and the primal pinned-vertex program `build_lp_k` / `solve_lp_k`
+(2m + 1 edge rows, against the oracle's dual form).
 """
 
 import math
@@ -27,6 +29,7 @@ from gammaconn.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
+from gammaconn.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
 
 INF = 10 ** 9
 
@@ -105,8 +108,6 @@ def naive_l1_lp(n, edges):
     complement, so s_0 = +1 is pinned; the all-positive pattern is
     infeasible. The minimum over the 2^(n-1) patterns is the optimum.
     """
-    from gammaconn.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
-
     m = len(edges)
     rows = []
     for i, (u, v) in enumerate(edges):
@@ -126,6 +127,34 @@ def naive_l1_lp(n, edges):
         if sol.status == OPTIMAL:
             best = min(best, sol.objective)
     return best
+
+
+def build_lp_k(g, k):
+    """Pinned-vertex program k in primal form: min y subject to |x_u - x_v| <= y
+    on every edge, sum(x) = 0, -1 <= x <= 1 and x_k = 1.
+
+    Variables are x_0..x_{n-1} and y (last); 2m + 1 rows. Pinning is the
+    equal bounds [1, 1], and y keeps the implied window [0, 2]. The package
+    oracle solves the LP dual of this program, built from other rows.
+    """
+    n = g.n
+    constraints = []
+    for u, v in edge_list(g):
+        for s in (1.0, -1.0):
+            row = [0.0] * (n + 1)
+            row[u], row[v], row[n] = s, -s, -1.0
+            constraints.append((tuple(row), "<=", 0.0))
+    constraints.append((tuple([1.0] * n + [0.0]), "=", 0.0))
+    bounds = [(-1.0, 1.0)] * n + [(0.0, 2.0)]
+    bounds[k] = (1.0, 1.0)
+    return LinearProgram(n + 1, tuple([0.0] * n + [1.0]), tuple(constraints), tuple(bounds))
+
+
+def solve_lp_k(g, k):
+    """Program k of build_lp_k solved by the package simplex; it is always optimal."""
+    sol = simplex_solve(build_lp_k(g, k))
+    assert sol.status == OPTIMAL
+    return sol
 
 
 def naive_objective(n, edges, x):

@@ -660,6 +660,25 @@ class TestGenerateAndProduct:
                        f" got n={MAX_VERTICES + 1}\n")
         assert not out_path.exists()
 
+    def test_oversized_spec_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        # the vertex count follows from the parameters; building hypercube(40)
+        # would ask for 2^40 vertices
+        def never(spec):
+            raise AssertionError(f"built {spec}")
+
+        monkeypatch.setattr(cli, "generate", never)
+        out_path = tmp_path / "q40.txt"
+        code, out, err = run_cli(capsys, "generate", "--family", "hypercube",
+                                 "--params", "40", "-o", str(out_path))
+        assert (code, out) == (3, "")
+        assert err == (f"error: edge-list files are capped at n <= {MAX_VERTICES},"
+                       f" got n={2 ** 40}\n")
+        assert not out_path.exists()
+        code, out, err = run_cli(capsys, "bench", "--family", "path", "--sizes", "61",
+                                 "--method", "lp")
+        assert (code, out) == (3, "")
+        assert "n <= 60" in err
+
     def test_product_refuses_before_building(self, tmp_path, capsys, monkeypatch):
         p1025 = tmp_path / "p1025.txt"
         write_edge_list(family("path", 1025), p1025)
@@ -717,6 +736,23 @@ class TestBenchCommand:
         assert code == 0
         assert [r["size"] for r in doc["rows"]] == [6, 7, 8]
         assert all(r["agree"] for r in doc["rows"])
+
+    def test_disagreeing_row_exit_1(self, capsys, monkeypatch):
+        real = lp.gamma_lp_details
+
+        def off_by_a_tenth(g):
+            value, per_k, best_k = real(g)
+            return value + 0.1, per_k, best_k
+
+        monkeypatch.setattr(lp, "gamma_lp_details", off_by_a_tenth)
+        code, out, _ = run_cli(capsys, "--json", "bench", "--family", "cycle",
+                               "--sizes", "6..7", "--method", "both")
+        assert code == 1
+        assert [r["agree"] for r in json.loads(out)["rows"]] == [False, False]
+        # without both methods no row is judged
+        code, _, _ = run_cli(capsys, "bench", "--family", "cycle", "--sizes", "6",
+                             "--method", "lp")
+        assert code == 0
 
     def test_formula_only(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "bench", "--family", "path",

@@ -5,7 +5,6 @@ import pytest
 
 from gammaconn import (
     FamilySpec,
-    bfs_distances,
     cartesian_product,
     closed_form_gamma,
     gamma,
@@ -16,7 +15,7 @@ from gammaconn import (
 )
 from gammaconn.errors import InvalidSpec, NonPositiveInput
 
-from conftest import family
+from conftest import edge_list, family, naive_distances, small_family_corpus
 
 
 class TestSpecValidation:
@@ -44,6 +43,14 @@ class TestSpecValidation:
 
     def test_str(self):
         assert str(FamilySpec("torus", (3, 4))) == "torus(3,4)"
+
+    def test_vertex_count_matches_the_built_member(self):
+        specs = small_family_corpus() + [FamilySpec("hamming", (3, 4)),
+                                         FamilySpec("grid3", (2, 3, 4)),
+                                         FamilySpec("torus", (3, 5))]
+        for spec in specs:
+            assert generate(spec).n == spec.n, spec
+        assert FamilySpec("hypercube", (40,)).n == 2 ** 40  # known without building
         assert str(FamilySpec("petersen", ())) == "petersen"
 
 
@@ -63,7 +70,7 @@ class TestGenerate:
         assert (g.n, g.m) == (10, 15)
         assert all(g.degree(v) == 3 for v in range(10))
         # girth 5: no triangles or 4-cycles in the Kneser construction
-        adj = [set(nbrs) for nbrs in g.adjacency]
+        adj = [set(g.neighbors(u).tolist()) for u in range(10)]
         assert all(not (adj[u] & adj[v]) for u in range(10) for v in adj[u])
         for u in range(10):
             two_step = {w for v in adj[u] for w in adj[v] if w != u}
@@ -112,9 +119,9 @@ class TestCartesianProduct:
     def test_distance_additivity(self):
         a, b = family("cycle", 5), family("path", 4)
         g = cartesian_product([a, b])
-        da = bfs_distances(a, 2).dist
-        db = bfs_distances(b, 1).dist
-        dg = bfs_distances(g, 2 * 4 + 1).dist
+        da = naive_distances(a.n, edge_list(a))[2]
+        db = naive_distances(b.n, edge_list(b))[1]
+        dg = naive_distances(g.n, edge_list(g))[2 * 4 + 1]
         for u in range(a.n):
             for v in range(b.n):
                 assert dg[u * 4 + v] == da[u] + db[v]

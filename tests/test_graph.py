@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 from gammaconn import (
     UNREACHABLE,
     FamilySpec,
-    bfs_distances,
     closed_form_gamma,
     components,
     gamma,
-    diameter,
     distance_matrix,
     from_edge_list,
     generate,
     is_connected,
     is_tree,
-    pendant_vertices,
-    shells,
     transmission_table,
     tree_transmissions,
 )
@@ -58,7 +54,7 @@ class TestFromEdgeList:
     def test_path_construction(self):
         g = from_edge_list(3, [(0, 1), (1, 2)])
         assert g.n == 3 and g.m == 2
-        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert [g.neighbors(u).tolist() for u in range(3)] == [[1], [0, 2], [1]]
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
@@ -80,7 +76,7 @@ class TestFromEdgeList:
 
     def test_adjacency_sorted_and_edges_canonical(self):
         g = from_edge_list(4, [(3, 1), (2, 0), (1, 0)])
-        assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
+        assert [g.neighbors(u).tolist() for u in range(4)] == [[1, 2], [0, 3], [0], [1]]
         assert [(int(u), int(v)) for u, v in g.edges] == [(0, 1), (0, 2), (1, 3)]
 
     @pytest.mark.parametrize("n, pairs, error, message", [
@@ -119,33 +115,14 @@ class TestFromEdgeList:
 
 
 class TestBfs:
-    def test_path_endpoint(self):
-        prof = bfs_distances(family("path", 4), 0)
-        assert prof.dist.tolist() == [0, 1, 2, 3]
-        assert prof.transmission == 6
-        assert prof.eccentricity == 3
-
-    def test_complete_graph_transmission(self):
-        # every vertex of a complete graph sees all others at distance 1
-        g = family("complete", 5)
-        for u in range(5):
-            assert bfs_distances(g, u).transmission == 4
-
     def test_disconnected_sentinel(self, two_k2):
-        prof = bfs_distances(two_k2, 0)
-        assert prof.dist.tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
-        assert prof.transmission is None
-        assert prof.eccentricity == 1
-
-    def test_source_out_of_range(self, p4):
-        with pytest.raises(VertexOutOfRange):
-            bfs_distances(p4, 4)
+        assert graph._distances(two_k2, 0).tolist() == [0, 1, UNREACHABLE, UNREACHABLE]
 
     def test_matches_floyd_warshall_oracle(self):
         g = gnp(12, 0.3, seed=7)
         oracle = naive_distances(g.n, [(int(u), int(v)) for u, v in g.edges])
         for u in range(g.n):
-            got = bfs_distances(g, u).dist
+            got = graph._distances(g, u)
             want = [d if d < 10 ** 9 else UNREACHABLE for d in oracle[u]]
             assert got.tolist() == want
 
@@ -170,7 +147,7 @@ class TestBfs:
             oracle = naive_distances(g.n, edge_list(g))
             for u in range(0, 30, 7):
                 want = [d if d < INF else UNREACHABLE for d in oracle[u]]
-                assert bfs_distances(g, u).dist.tolist() == want
+                assert graph._distances(g, u).tolist() == want
             if is_connected(g):
                 assert distance_matrix(g).tolist() == oracle
 
@@ -248,7 +225,6 @@ def assert_all_sources_match_oracle(g):
     assert distance_matrix(g).tolist() == d
     assert graph._kernel_transmissions(g).tr.tolist() == [sum(row) for row in d]
     assert transmission_table(g).tr.tolist() == [sum(row) for row in d]
-    assert diameter(g) == max(map(max, d))
 
 
 def preferential_attachment(n, k, seed):
@@ -266,7 +242,7 @@ def preferential_attachment(n, k, seed):
 
 
 class TestAllSourcesKernel:
-    """The bit-parallel kernel's three callers against Floyd-Warshall.
+    """The bit-parallel kernel's two callers against Floyd-Warshall.
 
     Trees reach transmission_table through the rerooting, so the kernel's
     transmissions are checked through _kernel_transmissions directly.
@@ -285,7 +261,6 @@ class TestAllSourcesKernel:
         assert graph._kernel_transmissions(g).tr.tolist() == [0]
         assert transmission_table(g).tr.tolist() == [0]
         assert distance_matrix(g).tolist() == [[0]]
-        assert diameter(g) == 0
 
     @pytest.mark.parametrize("words_per_block", [1, 2])
     def test_several_source_blocks(self, monkeypatch, words_per_block):
@@ -307,38 +282,7 @@ class TestAllSourcesKernel:
         assert_all_sources_match_oracle(g)
 
 
-class TestShells:
-    def test_cycle_shell_sizes(self, c6):
-        assert [len(s) for s in shells(c6, 0)] == [1, 2, 2, 1]
-
-    def test_complete_graph(self):
-        assert [len(s) for s in shells(family("complete", 4), 0)] == [1, 3]
-
-    def test_path_endpoint(self, p4):
-        assert shells(p4, 0) == [[0], [1], [2], [3]]
-
-    def test_disconnected_rejected(self, two_k2):
-        with pytest.raises(DisconnectedGraph):
-            shells(two_k2, 0)
-
-
-class TestDiameter:
-    def test_examples(self):
-        assert diameter(family("complete", 7)) == 1
-        assert diameter(family("path", 9)) == 8
-        assert diameter(family("hypercube", 3)) == 3
-
-    def test_disconnected_rejected(self, two_k2):
-        with pytest.raises(DisconnectedGraph):
-            diameter(two_k2)
-
-
 class TestPendantsAndTrees:
-    def test_pendants(self, s6, c6, p4):
-        assert pendant_vertices(s6) == [1, 2, 3, 4, 5]
-        assert pendant_vertices(c6) == []
-        assert pendant_vertices(p4) == [0, 3]
-
     def test_is_tree(self, two_k2):
         assert is_tree(family("path", 5))
         assert not is_tree(family("cycle", 5))
@@ -391,7 +335,7 @@ class TestPendantsAndTrees:
         for seed in range(10):
             t = random_tree(40, seed=100 + seed)
             table = tree_transmissions(t)
-            leaves = set(pendant_vertices(t))
+            leaves = set(np.flatnonzero(t.degrees() == 1).tolist())
             assert set(table.argmax) <= leaves
 
 

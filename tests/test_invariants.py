@@ -20,7 +20,6 @@ from gammaconn import (
     is_transmission_regular,
     normalized_laplacian_mu,
     transmission_table,
-    wiener_index,
 )
 from gammaconn.errors import (
     DisconnectedGraph,
@@ -255,13 +254,13 @@ class TestObjectiveAgainstOracle:
 
 class TestWiener:
     def test_examples(self):
-        assert wiener_index(family("complete", 4)) == 6
-        assert wiener_index(family("path", 4)) == 10
-        assert wiener_index(family("cycle", 5)) == 15
+        assert transmission_table(family("complete", 4)).wiener == 6
+        assert transmission_table(family("path", 4)).wiener == 10
+        assert transmission_table(family("cycle", 5)).wiener == 15
 
     def test_disconnected(self, two_k2):
         with pytest.raises(DisconnectedGraph):
-            wiener_index(two_k2)
+            transmission_table(two_k2)
 
 
 class TestTransmissionRegular:

@@ -5,7 +5,7 @@ import pytest
 
 from gammaconn import b_small_oracle, gamma, transmission_table
 from gammaconn import lp as lp_module
-from gammaconn.errors import DisconnectedGraph, TooLarge, TooSmall, VertexOutOfRange
+from gammaconn.errors import DisconnectedGraph, TooLarge, TooSmall
 from gammaconn.lp import (
     EQUAL,
     GREATER_EQ,
@@ -14,21 +14,20 @@ from gammaconn.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    build_lp_k,
     gamma_lp_details,
-    gamma_via_lp,
     simplex_solve,
-    solve_lp_k,
 )
 from gammaconn.random_graphs import gnm_connected, gnp_connected, random_tree
 
 from conftest import (  # noqa: F401
+    build_lp_k,
     counted,
     edge_list,
     family,
     naive_l1_cut,
     naive_l1_lp,
     naive_lp,
+    solve_lp_k,
     two_k2,
 )
 
@@ -195,16 +194,9 @@ class TestPinnedVertexLP:
         per_k = gamma_lp_details(family("path", 3))[1]
         assert per_k == pytest.approx([1.0, 1.5, 1.0], abs=1e-9)
 
-    def test_vertex_out_of_range(self):
-        with pytest.raises(VertexOutOfRange):
-            build_lp_k(family("path", 3), 3)
 
-
-class TestWarmStartedPinnedOracle:
-    """`gamma_lp_details` solves every k cold in dual form; these pin it to the primal.
-
-    (The class keeps its earlier name so that the test ids stay stable.)
-    """
+class TestDualAgainstPrimal:
+    """`gamma_lp_details` solves every k cold in dual form; these pin it to the primal."""
 
     @pytest.mark.parametrize("kind,params,orbits", [
         ("path", (3,), [[0, 2], [1]]),
@@ -255,19 +247,19 @@ class TestWarmStartedPinnedOracle:
         assert len(solves) == g.n
 
 
-class TestGammaViaLp:
+class TestLpOracleValue:
     @pytest.mark.parametrize("kind,params,expected", [
         ("cycle", (4,), 1.0),
         ("star", (4,), 0.8),
         ("complete", (2,), 2.0),
     ])
     def test_examples(self, kind, params, expected):
-        assert gamma_via_lp(family(kind, *params)) == pytest.approx(expected, abs=1e-6)
+        assert gamma_lp_details(family(kind, *params))[0] == pytest.approx(expected, abs=1e-6)
 
     def test_agrees_with_formula(self):
         for seed in range(10):
             g = gnp_connected(7, 0.4, seed=seed)
-            assert gamma_via_lp(g) == pytest.approx(float(gamma(g).gamma), abs=1e-6)
+            assert gamma_lp_details(g)[0] == pytest.approx(float(gamma(g).gamma), abs=1e-6)
 
     def test_per_k_lower_bounded_by_gamma(self):
         for seed in range(5):
@@ -310,13 +302,13 @@ class TestGammaViaLp:
 
     def test_disconnected_rejected(self, two_k2):
         with pytest.raises(DisconnectedGraph):
-            gamma_via_lp(two_k2)
+            gamma_lp_details(two_k2)
 
     def test_too_small(self):
         from gammaconn import from_edge_list
 
         with pytest.raises(TooSmall):
-            gamma_via_lp(from_edge_list(1, []))
+            gamma_lp_details(from_edge_list(1, []))
 
 
 class TestL1Oracle:

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammaconn import (
-    bfs_distances,
     distance_matrix,
     from_edge_list,
     gamma,
     gamma_objective,
-    gamma_via_lp,
+    gamma_lp_details,
     is_connected,
-    pendant_vertices,
     transmission_table,
     tree_transmissions,
 )
-from gammaconn.graph import UNREACHABLE, _kernel_transmissions
+from gammaconn.graph import UNREACHABLE, _distances, _kernel_transmissions
 
 from conftest import INF, edge_list, naive_distances, naive_gamma
 
@@ -73,7 +71,7 @@ def test_gamma_zero_iff_disconnected(g):
 @given(graphs(connected=True, max_n=8))
 @settings(max_examples=40, deadline=None)
 def test_lp_oracle_agrees(g):
-    assert abs(gamma_via_lp(g) - float(gamma(g).gamma)) <= 1e-6
+    assert abs(gamma_lp_details(g)[0] - float(gamma(g).gamma)) <= 1e-6
 
 
 @given(graphs(connected=True, max_n=8), st.integers(0, 2 ** 30))
@@ -108,7 +106,7 @@ def test_edge_addition_never_decreases_gamma(g, data):
 @given(graphs(min_n=1))
 def test_bfs_edge_distance_lipschitz(g):
     for source in range(g.n):
-        dist = bfs_distances(g, source).dist
+        dist = _distances(g, source)
         for u, v in edge_list(g):
             if dist[u] >= 0 and dist[v] >= 0:
                 assert abs(int(dist[u]) - int(dist[v])) <= 1
@@ -119,7 +117,7 @@ def test_bfs_implementations_agree(g):
     oracle = naive_distances(g.n, edge_list(g))
     for source in range(g.n):
         want = [d if d < INF else UNREACHABLE for d in oracle[source]]
-        assert bfs_distances(g, source).dist.tolist() == want
+        assert _distances(g, source).tolist() == want
     if is_connected(g):
         assert distance_matrix(g).tolist() == oracle
 
@@ -147,4 +145,4 @@ def test_tree_rerooting_matches_bfs(t):
 
 @given(trees())
 def test_tree_argmax_only_pendants(t):
-    assert set(tree_transmissions(t).argmax) <= set(pendant_vertices(t))
+    assert set(tree_transmissions(t).argmax) <= set(np.flatnonzero(t.degrees() == 1).tolist())
