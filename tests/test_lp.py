@@ -16,6 +16,7 @@ from gammaconn.lp import (
     LinearProgram,
     gamma_lp_details,
     simplex_solve,
+    simplex_solve_many,
 )
 from gammaconn.random_graphs import gnm_connected, gnp_connected, random_tree
 
@@ -24,6 +25,7 @@ from conftest import (  # noqa: F401
     counted,
     edge_list,
     family,
+    naive_distances,
     naive_l1_cut,
     naive_l1_lp,
     naive_lp,
@@ -173,6 +175,65 @@ class TestAgainstVertexEnumeration:
         assert {OPTIMAL, INFEASIBLE} <= set(statuses)
 
 
+class TestBatch:
+    """`simplex_solve_many` against one `simplex_solve` per objective."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_single_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            lp = random_boxed_lp(rng)
+            objectives = [lp.objective] + [
+                tuple(float(c) for c in rng.integers(-3, 4, lp.num_vars)) for _ in range(4)]
+            batch = simplex_solve_many(lp, objectives)
+            assert len(batch) == len(objectives)
+            for objective, got in zip(objectives, batch):
+                alone = simplex_solve(
+                    LinearProgram(lp.num_vars, objective, lp.constraints, lp.bounds))
+                assert got.status == alone.status
+                assert got.iterations == alone.iterations
+                if alone.status == OPTIMAL:
+                    assert got.objective == pytest.approx(alone.objective, abs=1e-12)
+
+    def test_unbounded_member_keeps_the_others_optimal(self):
+        # x1 - x0 <= 2 with x0 >= 0 unbounded above: min -x0 is unbounded,
+        # min x0 - x1 is -2 (x1 = 4, x0 = 2) and min x1 is 0
+        lp = LinearProgram(2, (0.0, 0.0), (((-1.0, 1.0), LESS_EQ, 2.0),),
+                           ((0.0, INF), (0.0, 4.0)))
+        objectives = [(1.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]
+        batch = simplex_solve_many(lp, objectives)
+        assert [sol.status for sol in batch] == [OPTIMAL, UNBOUNDED, OPTIMAL]
+        assert batch[0].objective == pytest.approx(-2.0, abs=1e-12)
+        assert batch[1].objective is None and batch[1].assignment is None
+        assert batch[2].objective == pytest.approx(0.0, abs=1e-12)
+        for objective, got in zip(objectives, batch):
+            alone = simplex_solve(LinearProgram(2, objective, lp.constraints, lp.bounds))
+            assert (got.status, got.iterations) == (alone.status, alone.iterations)
+
+    def test_infeasible_rows_fail_every_member(self):
+        # x0 + x1 >= 5 cannot hold with x0 <= 1 and x1 <= 2, whatever the objective
+        lp = LinearProgram(2, (0.0, 0.0), (((1.0, 1.0), GREATER_EQ, 5.0),),
+                           ((0.0, 1.0), (0.0, 2.0)))
+        batch = simplex_solve_many(lp, [(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)])
+        assert [sol.status for sol in batch] == [INFEASIBLE] * 3
+        assert all(sol.objective is None and sol.assignment is None for sol in batch)
+
+    @pytest.mark.parametrize("per_block", [1, 7])
+    def test_blocks_keep_per_k_and_best_k(self, monkeypatch, per_block):
+        # torus(4,6): 24 programs of r = 25 rows, in blocks of per_block
+        g = family("torus", 4, 6)
+        _, want, want_k = gamma_lp_details(g)
+        r = g.n + 1
+        monkeypatch.setattr(lp_module, "_INVERSE_BYTES", per_block * 8 * r * r)
+        blocks = counted(monkeypatch, lp_module, "_run_phase")
+        _, per_k, best_k = gamma_lp_details(g)
+        sizes = [len(args[0]) for args in blocks]
+        assert sum(sizes) == g.n and max(sizes) <= per_block
+        assert len(sizes) == -(-g.n // per_block)
+        assert per_k == pytest.approx(want, abs=1e-12)
+        assert best_k == want_k
+
+
 class TestPinnedVertexLP:
     def test_shape_for_single_edge(self):
         lp = build_lp_k(family("path", 2), 0)
@@ -241,10 +302,13 @@ class TestDualAgainstPrimal:
                                    gnp_connected(7, 0.4, seed=3)],
                              ids=["path2", "petersen", "gnp7"])
     def test_one_simplex_solve_per_program(self, monkeypatch, g):
-        # one dual program per pinned vertex, and nothing else
+        # one dual objective per pinned vertex, all in one batch call, and
+        # no program solved on its own
+        batches = counted(monkeypatch, lp_module, "simplex_solve_many")
         solves = counted(monkeypatch, lp_module, "simplex_solve")
         gamma_lp_details(g)
-        assert len(solves) == g.n
+        assert len(batches) == 1 and len(batches[0][1]) == g.n
+        assert solves == []
 
 
 class TestLpOracleValue:
@@ -309,6 +373,34 @@ class TestLpOracleValue:
 
         with pytest.raises(TooSmall):
             gamma_lp_details(from_edge_list(1, []))
+
+
+class TestOracleAgainstTransmissions:
+    """The pinned-vertex optima against n / tr(k) from Floyd-Warshall distances.
+
+    Program k is at least n / tr(k): along shortest paths to k, a largest
+    edge gap t gives n <= t tr(k). It equals n / tr(k) wherever
+    2 tr(k) >= ecc(k) n, where x_v = 1 - n d(k, v) / tr(k) is feasible. So
+    the first minimiser is a maximum-transmission vertex.
+    """
+
+    @pytest.mark.parametrize("g", [
+        gnm_connected(40, 100, seed=20240809),
+        gnm_connected(30, 60, seed=11),
+        random_tree(25, seed=5),
+        family("torus", 4, 6),
+        gnm_connected(60, 180, seed=7),
+        family("cycle", 60),
+        family("petersen"),
+    ], ids=["gnm40", "gnm30", "tree25", "torus4x6", "gnm60", "cycle60", "petersen"])
+    def test_per_k_against_transmissions(self, g):
+        _, per_k, best_k = gamma_lp_details(g)
+        for k, row in enumerate(naive_distances(g.n, edge_list(g))):
+            tr, ecc = sum(row), max(row)
+            assert per_k[k] >= g.n / tr - 1e-9
+            if 2 * tr >= ecc * g.n:
+                assert per_k[k] == pytest.approx(g.n / tr, abs=1e-9)
+        assert best_k in transmission_table(g).argmax
 
 
 class TestL1Oracle:
