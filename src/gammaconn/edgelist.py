@@ -22,11 +22,23 @@ def parse_edge_list(text: str) -> Graph:
 
     Each line is checked in this order: one line too many, token count,
     integer tokens (Python int() syntax), range, self-loop, duplicate in
-    either orientation. A document with m edge lines of two integer tokens
-    each goes straight to from_edge_list, whose own array checks refuse any
-    range, self-loop or duplicate fault; a refused document is then read
-    again one edge line at a time, in file order, up to its first bad line.
+    either orientation. A document in the writer's own format (ASCII,
+    every line "digits SP digits LF") is read by one numpy call and goes
+    straight to from_edge_list when 1 <= n <= MAX_VERTICES and it holds
+    exactly 2m + 2 integers. Other documents have their tokens counted per
+    line and go straight to from_edge_list when they hold m edge lines of
+    two integer tokens each. A document neither path accepts is read one
+    line at a time, header first, then the edge lines in file order, up to
+    its first bad line.
     """
+    if text.isascii() and text.endswith("\n"):
+        data = text.encode("ascii")
+        seps = data.translate(None, b"0123456789")
+        if seps == b" \n" * (len(seps) // 2):
+            vals = np.fromstring(data, dtype=np.int64, sep=" ")
+            if len(vals) == len(seps):  # two integers a line: no digit run is empty
+                return _parse_writer_format(text, vals)
+
     raw_lines = text.splitlines()
     lines = [raw.split("#", 1)[0] for raw in raw_lines] if "#" in text else raw_lines
     # token counts only: keeping every line's token list alive costs more than the split
@@ -46,9 +58,35 @@ def parse_edge_list(text: str) -> Graph:
             return from_edge_list(n, np.array(values, dtype=np.int64).reshape(-1, 2))
         except (ValueError, OverflowError, VertexOutOfRange, SelfLoop, DuplicateEdge):
             pass
+    _raise_first_bad_line(raw_lines, lines, rows.tolist(), n, m)
 
+
+def _parse_writer_format(text, vals):
+    """parse_edge_list of a document whose every line is "digits SP digits LF".
+
+    vals are its integers. fromstring clamps a token past int64 to
+    2^63 - 1, which no range check accepts, so every refusal goes to the
+    line loop, which reads Python ints.
+    """
+    n, m = int(vals[0]), int(vals[1])
+    if 1 <= n <= MAX_VERTICES and len(vals) == 2 * m + 2:
+        try:
+            return from_edge_list(n, vals[2:])
+        except (VertexOutOfRange, SelfLoop, DuplicateEdge):
+            pass
+    raw_lines = text.splitlines()
+    n, m = _parse_header(1, raw_lines[0], raw_lines[0].split())
+    _raise_first_bad_line(raw_lines, raw_lines, range(1, len(raw_lines)), n, m)
+
+
+def _raise_first_bad_line(raw_lines, lines, rows, n, m):
+    """Raise EdgeListParseError for the first bad edge line among rows (indices, in file order).
+
+    lines are raw_lines with comments removed; when every edge line passes,
+    the fault is the edge count, named at the document's last line.
+    """
     seen = set()
-    for row in rows.tolist():
+    for row in rows:
         raw, tokens = raw_lines[row], lines[row].split()
         if len(seen) == m:
             raise EdgeListParseError(row + 1, "more edge lines than the header declared")

@@ -34,9 +34,9 @@ UNREACHABLE = -1
 #: working set.
 _GATHER_BYTES = 32 << 20
 
-#: Largest n for which a dense n x n matrix (distances, adjacency, the
-#: Laplacians) is built: one float64 matrix is 134 MB there, and one LAPACK
-#: eigh on it took 13 s on one Xeon core.
+#: Largest n for which a dense n x n matrix (distances, the Laplacians) is
+#: built: one float64 matrix is 134 MB there, and one LAPACK eigh on it
+#: took 13 s on one Xeon core.
 _DENSE_MAX_N = 4096
 
 #: Largest vertex count whose edge keys lo*n + hi (< n*n) fit in int64.
@@ -97,41 +97,55 @@ class Graph:
 def from_edge_list(n, pairs):
     """Build a Graph from (u, v) pairs, rejecting invalid input outright.
 
-    Raises VertexOutOfRange, SelfLoop, or DuplicateEdge; never repairs.
-    Edges are sorted by the one int64 key lo*n + hi (lo < hi), which orders
-    them lexicographically and makes duplicates equal neighbouring keys. The
-    key is below n*n, so n past _MAX_N (isqrt(2^63 - 1), about 3.04e9)
-    raises FixedLimit instead of overflowing it. Each row's neighbours come
-    from one stable sort of the row ids over [reversed edges; edges], which
-    lists a row's smaller neighbours, then its larger ones, each ascending.
+    Raises VertexOutOfRange (also for any pair that is not two integers),
+    SelfLoop, or DuplicateEdge; never repairs. Edges are sorted by the one
+    int64 key lo*n + hi (lo < hi), which orders them lexicographically and
+    makes duplicates equal neighbouring keys. The key is below n*n, so n
+    past _MAX_N (isqrt(2^63 - 1), about 3.04e9) raises FixedLimit instead
+    of overflowing it. The CSR comes from one plain sort of the 2m keys
+    row*n + neighbour over both orientations, which lists each row's
+    neighbours ascending; row r starts at the first key >= r*n.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
     if n > _MAX_N:
         raise FixedLimit(f"vertex count must be <= {_MAX_N} (int64 edge keys), got {n}")
-    arr = pairs if isinstance(pairs, np.ndarray) else np.array(list(pairs), dtype=np.int64)
+    if isinstance(pairs, np.ndarray):
+        arr = pairs
+    else:
+        pairs = list(pairs)
+        arr = np.array(pairs)
+    if arr.size and arr.dtype.kind not in "iu":
+        # name the first pair that is not two in-range integers as given
+        rows = pairs.reshape(-1, 2).tolist() if pairs is arr else pairs
+        u, v = next((p for p in rows if not all(_is_vertex(x, n) for x in p)), rows[0])
+        raise VertexOutOfRange(f"edge ({u!r}, {v!r}) is not a pair of integers in [0, {n})")
     arr = arr.astype(np.int64, copy=False).reshape(-1, 2)
-    if arr.size:
-        bad = (arr < 0) | (arr >= n)
-        if bad.any():
-            u, v = arr[int(np.argmax(bad.any(axis=1)))]
-            raise VertexOutOfRange(f"edge ({u}, {v}) has endpoint outside [0, {n})")
-        loops = arr[:, 0] == arr[:, 1]
-        if loops.any():
-            raise SelfLoop(f"self-loop at vertex {arr[int(np.argmax(loops)), 0]}")
-    lo, hi = arr.min(axis=1), arr.max(axis=1)
-    keys = lo * n + hi
-    order = np.argsort(keys)
-    edges = np.stack([lo[order], hi[order]], axis=1)
-    dup = np.diff(keys[order]) == 0
+    lo, hi = np.minimum(arr[:, 0], arr[:, 1]), np.maximum(arr[:, 0], arr[:, 1])
+    if arr.size and (lo.min() < 0 or hi.max() >= n):
+        u, v = arr[int(np.argmax((lo < 0) | (hi >= n)))]
+        raise VertexOutOfRange(f"edge ({u}, {v}) has endpoint outside [0, {n})")
+    loops = lo == hi
+    if loops.any():
+        raise SelfLoop(f"self-loop at vertex {lo[int(np.argmax(loops))]}")
+    keys = lo * n
+    keys += hi
+    keys.sort()
+    dup = keys[1:] == keys[:-1]
     if dup.any():
-        u, v = edges[int(np.argmax(dup))]
+        u, v = divmod(int(keys[int(np.argmax(dup))]), n)
         raise DuplicateEdge(f"edge ({u}, {v}) given more than once")
-    src = np.concatenate([edges[:, 1], edges[:, 0]])
-    indices = np.concatenate([edges[:, 0], edges[:, 1]])[np.argsort(src, kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    indices = np.concatenate([keys, hi * n + lo])
+    indices.sort()
+    indptr = np.searchsorted(indices, np.arange(n + 1) * n)
+    indices %= n
     return Graph(n, indptr, indices, edges)
+
+
+def _is_vertex(x, n):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _cached(g, key, compute):

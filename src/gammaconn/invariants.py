@@ -193,18 +193,14 @@ def is_transmission_regular(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # matrices
 
-def adjacency_matrix(g):
-    _check_dense(g)
-    a = np.zeros((g.n, g.n))
-    if g.m:
-        a[g.edges[:, 0], g.edges[:, 1]] = 1.0
-        a[g.edges[:, 1], g.edges[:, 0]] = 1.0
-    return a
-
-
 def laplacian_matrix(g):
-    a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
+    """D - A, built in its one n x n array (writing -1.0, never negating zeros)."""
+    _check_dense(g)
+    lap = np.zeros((g.n, g.n))
+    lap[g.edges[:, 0], g.edges[:, 1]] = -1.0
+    lap[g.edges[:, 1], g.edges[:, 0]] = -1.0
+    np.fill_diagonal(lap, g.degrees())
+    return lap
 
 
 def normalized_laplacian_matrix(g):
@@ -212,7 +208,10 @@ def normalized_laplacian_matrix(g):
     if (deg == 0).any():
         raise DisconnectedGraph("normalized Laplacian requires no isolated vertices")
     scale = deg ** -0.5
-    return laplacian_matrix(g) * scale[:, None] * scale[None, :]
+    lap = laplacian_matrix(g)
+    lap *= scale[:, None]
+    lap *= scale[None, :]
+    return lap
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,47 @@ def near_valid_edge_lists(draw):
     return text if draw(st.booleans()) else text.rstrip("\n\r\f\x0b\x85\u2028")
 
 
+# writer-alphabet tokens no drawn n admits as ids: past int64 (numpy clamps
+# them), at n's bound, a leading-zero spelling of 1, and an empty token,
+# which leaves a line's single space and LF in place
+WRITER_BAD_TOKENS = [str(2 ** 63), str(2 ** 64), "0" * 25 + "1", "6", "7", "99", ""]
+
+
+@st.composite
+def writer_alphabet_edge_lists(draw):
+    """Documents of digits, single spaces and LFs a few faults from valid.
+
+    Unlike near_valid_edge_lists, every line is "digits SP digits LF" unless
+    it loses or gains a token, so most documents are in the writer's own
+    format. Random pairs over few vertices give self-loops and duplicates in
+    both orientations; the declared m may be one off either way; now and
+    then a token is replaced by an id out of range or past int64.
+    """
+    n = draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * (n - 1) // 2))
+    m = max(0, len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    text = ""
+    for row in [(n, m), *pairs]:
+        tokens = [str(v) for v in row]
+        fault = draw(st.integers(0, 15))
+        if fault == 0:
+            tokens[draw(st.integers(0, 1))] = draw(st.sampled_from(WRITER_BAD_TOKENS))
+        elif fault == 1:
+            tokens.pop()
+        elif fault == 2:
+            tokens.append(draw(st.sampled_from(["0", "1"])))
+        text += " ".join(tokens) + "\n"
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return type(exc), exc.line_no, str(exc)
+
+
 class TestEdgeListFormat:
     def test_round_trip_all_families(self, tmp_path):
         for spec in small_family_corpus(9):
@@ -156,13 +197,29 @@ class TestEdgeListFormat:
     @settings(max_examples=600, deadline=None)
     @given(near_valid_edge_lists())
     def test_parser_matches_line_loop(self, text):
-        def outcome(parse):
-            try:
-                return parse(text)
-            except EdgeListParseError as exc:
-                return type(exc), exc.line_no, str(exc)
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(naive_parse_edge_list, text)
 
-        assert outcome(parse_edge_list) == outcome(naive_parse_edge_list)
+    @settings(max_examples=600, deadline=None)
+    @given(writer_alphabet_edge_lists())
+    def test_writer_alphabet_matches_line_loop(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(naive_parse_edge_list, text)
+
+    def test_writer_output_skips_the_token_reader(self, monkeypatch):
+        # the writer's own format is read by one numpy call: the token-count
+        # reader, whose first step is _parse_header, is never reached
+        def refuse(*args):
+            raise AssertionError("token-count reader reached")
+
+        graphs = [family("path", 999), family("torus", 30, 40),
+                  gnm_connected(2000, 10000, seed=5), from_edge_list(1, [])]
+        texts = [format_edge_list(g) for g in graphs]
+        assert texts[-1] == "1 0\n"
+        monkeypatch.setattr(edgelist, "_parse_header", refuse)
+        for g, text in zip(graphs, texts):
+            h = parse_edge_list(text)
+            assert h.n == g.n
+            for a, b in ((h.edges, g.edges), (h._indptr, g._indptr), (h._indices, g._indices)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def run_cli(capsys, *argv):

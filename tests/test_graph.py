@@ -91,6 +91,24 @@ class TestFromEdgeList:
             from_edge_list(n, pairs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("n, pairs, message", [
+        (3, [(0, 1.5), (1, 2)], "edge (0, 1.5) is not a pair of integers in [0, 3)"),
+        (3, [(0, 1), (1, 2.0)], "edge (1, 2.0) is not a pair of integers in [0, 3)"),
+        (3, [("0", "1")], "edge ('0', '1') is not a pair of integers in [0, 3)"),
+        (3, np.array([[0.0, 1.0]]), "edge (0.0, 1.0) is not a pair of integers in [0, 3)"),
+        (3, [(1, 2), (0, 2 ** 70)],
+         f"edge (0, {2 ** 70}) is not a pair of integers in [0, 3)"),
+    ])
+    def test_non_integer_pairs_refused(self, n, pairs, message):
+        # no pair is rounded, parsed or converted into an edge
+        with pytest.raises(VertexOutOfRange) as exc:
+            from_edge_list(n, pairs)
+        assert str(exc.value) == message
+
+    def test_empty_pairs_accepted(self):
+        for pairs in ([], (), np.zeros((0, 2), dtype=np.int64)):
+            assert from_edge_list(1, pairs).m == 0
+
     @given(shuffled_edges(), st.booleans())
     def test_matches_sorted_python_builder(self, case, as_array):
         n, pairs = case

@@ -31,11 +31,10 @@ from gammaconn.errors import (
 )
 from gammaconn.graph import distance_matrix
 from gammaconn.invariants import (
-    adjacency_matrix,
     laplacian_matrix,
     normalized_laplacian_matrix,
 )
-from gammaconn.random_graphs import gnp, gnp_connected, gnp_disconnected, random_tree
+from gammaconn.random_graphs import gnm_connected, gnp, gnp_connected, gnp_disconnected, random_tree
 
 from conftest import (
     edge_list,
@@ -299,11 +298,10 @@ class TestSpectral:
             distance_spectral_radius(family("cycle", 6), tol)
 
     def test_dense_cap_covers_every_matrix(self, monkeypatch):
-        # one setting caps the distance, adjacency and both Laplacian matrices
+        # one setting caps the distance and both Laplacian matrices
         monkeypatch.setattr(graph, "_DENSE_MAX_N", 5)
         small, large = family("cycle", 5), family("cycle", 6)
-        builders = (distance_matrix, adjacency_matrix, laplacian_matrix,
-                    normalized_laplacian_matrix)
+        builders = (distance_matrix, laplacian_matrix, normalized_laplacian_matrix)
         for build in builders:
             assert build(small).shape == (5, 5)
             with pytest.raises(FixedLimit, match=r"dense matrices capped at n <= 5"):
@@ -388,10 +386,22 @@ class TestSpectral:
             assert rep.entry(name).skipped
         assert rep.all_hold
 
+    @pytest.mark.parametrize("build", [laplacian_matrix, normalized_laplacian_matrix])
+    def test_laplacian_built_in_one_matrix(self, build):
+        g = gnm_connected(600, 3000, seed=5)
+        tracemalloc.start()
+        try:
+            build(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * g.n * g.n * 8
+
     def test_matrices(self):
         g = family("path", 3)
-        assert adjacency_matrix(g).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         assert laplacian_matrix(g).tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+        lap = laplacian_matrix(family("cycle", 6))
+        assert not np.signbit(lap[lap == 0]).any()  # no -0.0 from negating zeros
 
 
 def _cheeger_oracle_graphs(n):
