@@ -50,17 +50,13 @@ class Graph:
     (u, v) edge array with u < v. No mutation after construction.
     """
 
-    __slots__ = ("n", "m", "_indptr", "_indices", "_adj", "_edges", "_memo")
+    __slots__ = ("n", "m", "_indptr", "_indices", "_edges", "_memo")
 
     def __init__(self, n, indptr, indices, edges):
         self.n = n
         self.m = len(edges)
         self._indptr = indptr
         self._indices = indices
-        # native int lists: the scalar BFS iterates these far faster than
-        # numpy slices, and slicing one list beats n array slices
-        ptr, nbrs = indptr.tolist(), indices.tolist()
-        self._adj = [nbrs[a:b] for a, b in zip(ptr, ptr[1:])]
         self._edges = edges
         self._memo = {}
 
@@ -156,14 +152,29 @@ def _cached(g, key, compute):
     return g._memo[key] if key in g._memo else g._memo.setdefault(key, compute())
 
 
-def _bfs(g, source, dist):
+def _adjacency(g):
+    """Each vertex's neighbours as a tuple of native ints; memoised per graph.
+
+    The scalar BFS iterates these far faster than numpy slices, and slicing
+    one tuple beats n array slices. Built on first use: most graphs (family
+    members, product factors) never run a BFS.
+    """
+    def build():
+        ptr, nbrs = g._indptr.tolist(), tuple(g._indices.tolist())
+        return tuple(nbrs[a:b] for a, b in zip(ptr, ptr[1:]))
+    return _cached(g, "adjacency", build)
+
+
+def _bfs(g, source, dist, adj=None):
     """BFS over the component of source; returns the visit order, source first.
 
     Fills dist, the caller's list (UNREACHABLE where not yet visited), with
-    hop counts from source. The order list doubles as the queue.
+    hop counts from source. The order list doubles as the queue. A caller
+    that runs many BFSs passes adj, g's _adjacency, fetched once.
     """
     dist[source] = 0
-    adj = g._adj
+    if adj is None:
+        adj = _adjacency(g)
     order = [source]
     push = order.append
     for v in order:
@@ -242,10 +253,11 @@ def components(g):
     """
     dist = [UNREACHABLE] * g.n
     label = [0] * g.n
+    adj = _adjacency(g)
     out = []
     for v in range(g.n):
         if dist[v] < 0:
-            for w in _bfs(g, v, dist):
+            for w in _bfs(g, v, dist, adj):
                 label[w] = len(out)
             out.append([])
         out[label[v]].append(v)

@@ -115,6 +115,17 @@ def parse_outcome(parse, text):
         return type(exc), exc.line_no, str(exc)
 
 
+def assert_line_reader_matches(monkeypatch, text, respelled):
+    """respelled goes to the line reader and parses element-identical to text."""
+    want = parse_edge_list(text)
+    lines = counted(monkeypatch, edgelist, "_parse_lines")
+    got = parse_edge_list(respelled)
+    assert len(lines) == 1 and got.n == want.n
+    for a, b in ((got.edges, want.edges), (got._indptr, want._indptr),
+                 (got._indices, want._indices)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestEdgeListFormat:
     def test_round_trip_all_families(self, tmp_path):
         for spec in small_family_corpus(9):
@@ -204,22 +215,49 @@ class TestEdgeListFormat:
     def test_writer_alphabet_matches_line_loop(self, text):
         assert parse_outcome(parse_edge_list, text) == parse_outcome(naive_parse_edge_list, text)
 
-    def test_writer_output_skips_the_token_reader(self, monkeypatch):
-        # the writer's own format is read by one numpy call: the token-count
-        # reader, whose first step is _parse_header, is never reached
+    def test_writer_output_skips_the_line_reader(self, monkeypatch):
+        # the writer's own format is read by one numpy call: the line
+        # reader, _parse_lines, is never reached
         def refuse(*args):
-            raise AssertionError("token-count reader reached")
+            raise AssertionError("line reader reached")
 
         graphs = [family("path", 999), family("torus", 30, 40),
                   gnm_connected(2000, 10000, seed=5), from_edge_list(1, [])]
         texts = [format_edge_list(g) for g in graphs]
         assert texts[-1] == "1 0\n"
-        monkeypatch.setattr(edgelist, "_parse_header", refuse)
+        monkeypatch.setattr(edgelist, "_parse_lines", refuse)
         for g, text in zip(graphs, texts):
             h = parse_edge_list(text)
             assert h.n == g.n
             for a, b in ((h.edges, g.edges), (h._indptr, g._indptr), (h._indices, g._indices)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("respell", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" ", "\t"),
+        lambda t: "# respelled\n\n" + t,
+        lambda t: t[:-1],
+    ], ids=["crlf", "tabs", "comment", "no-final-lf"])
+    @pytest.mark.parametrize("g", [family("path", 999), family("torus", 30, 40),
+                                   gnm_connected(2000, 10000, seed=5)],
+                             ids=["path999", "torus30x40", "gnm2000"])
+    def test_line_reader_matches_writer_path(self, monkeypatch, g, respell):
+        text = format_edge_list(g)
+        assert_line_reader_matches(monkeypatch, text, respell(text))
+
+    @pytest.mark.parametrize("doc", ["5 0", "# none\n5 0\n"])
+    def test_line_reader_builds_int64_without_edges(self, monkeypatch, doc):
+        assert_line_reader_matches(monkeypatch, "5 0\n", doc)
+
+    def test_non_utf8_byte_named_by_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+        with pytest.raises(EdgeListParseError) as exc:
+            read_edge_list(path)
+        assert exc.value.line_no == 3
+        code, _, err = run_cli(capsys, "compute", str(path))
+        assert code == 2
+        assert err.startswith("error: line 3: ")
 
 
 def run_cli(capsys, *argv):
