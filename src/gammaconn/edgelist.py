@@ -97,7 +97,11 @@ def _parse_lines(text):
 
 
 def read_edge_list(path) -> Graph:
-    """parse_edge_list of a UTF-8 file; a byte that is not UTF-8 is named by its line."""
+    """parse_edge_list of a UTF-8 file; a byte that is not UTF-8 is named by its line.
+
+    A leading byte-order mark, as some editors write, is dropped after
+    decoding, so offsets in the error still count from the file's first byte.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -108,7 +112,7 @@ def read_edge_list(path) -> Graph:
         line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise EdgeListParseError(line_no, f"not UTF-8 text: byte 0x{data[exc.start]:02x}"
                                  f" at offset {exc.start}") from None
-    return parse_edge_list(text)
+    return parse_edge_list(text.removeprefix("\ufeff"))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,10 +31,19 @@ from .errors import (
 #: (negative) so it can never be mistaken for a hop count.
 UNREACHABLE = -1
 
-#: Byte budget for one level's word-major (B, 2m) uint64 gather in the
-#: all-sources BFS; sets the source block width B and so caps the kernel's
-#: working set.
+#: Byte budget that sets the all-sources BFS's source block width B: a
+#: gather of every vertex's neighbour words, a (2m, B) uint64 array, stays
+#: within it. The kernel builds that full gather only on graphs too small
+#: to sweep (see _SWEEP_WORDS); elsewhere B sizes its (n, B) buffers.
 _GATHER_BYTES = 32 << 20
+
+#: Fewest words (rows x block width) a neighbour position must cover for
+#: the all-sources BFS to sweep it with one np.take and one OR; the later
+#: positions go to one reduceat over the rows left. The two calls cost
+#: about 2 us whatever their size, about what that reduceat spends on 4096
+#: words of a dense graph's long segments: with 256, complete(300)'s kernel
+#: took 2.5x its all-reduceat time, with 2048 complete(410)'s 1.5x (AMD EPYC).
+_SWEEP_WORDS = 4096
 
 #: Largest n for which a dense n x n matrix (distances, the Laplacians) is
 #: built: one float64 matrix is 134 MB there, and one LAPACK eigh on it
@@ -199,36 +210,84 @@ def _all_sources_levels(g):
     Sources are packed one bit each into uint64 words, and a block of B
     words advances level-synchronously: per level every vertex ORs the
     frontier words of its neighbours and keeps the bits not yet seen. A
-    block is stored word-major, as a (B, n) array, so one np.take of the
-    neighbour columns gives a (B, 2m) gather whose per-vertex segments are
-    contiguous along its rows, and one reduceat along that axis ORs them.
-    Yields (first_source, level, nxt) for levels >= 1, where bit j of
-    nxt[w, v] is set iff dist(v, first_source + 64*w + j) == level;
-    distances are symmetric, so column v lists the block's sources at that
-    distance. B keeps the (B, 2m) gather within _GATHER_BYTES. reduceat
-    needs degree >= 1 everywhere, so callers pass connected graphs; n = 1
-    yields nothing.
+    block is stored vertex-major, as an (n, B) array with vertex v in row
+    rank[v]. Returns (rank, levels); rank is None when rows are in vertex
+    order. levels yields (first_source, level, nxt) for levels >= 1, where
+    bit j of nxt[rank[v], w] is set iff dist(v, first_source + 64*w + j) ==
+    level; nxt is a buffer of the generator, valid until it advances.
+
+    Rows are sorted by descending degree (jagged-diagonal layout), so the
+    k-th neighbours of all vertices of degree > k fill one prefix of rows:
+    one np.take and one OR per position k while that prefix holds at least
+    _SWEEP_WORDS words, then one reduceat over the remaining neighbours of
+    the few vertices left. A graph with n*B below _SWEEP_WORDS sweeps no
+    position and keeps vertex order: one (2m, B) gather and one reduceat per
+    level. B keeps that gather within _GATHER_BYTES. Every vertex needs a
+    neighbour, so callers pass connected graphs; n = 1 yields nothing.
     """
     n, indptr, indices = g.n, g._indptr, g._indices
     if n < 2:
-        return
+        return None, iter(())
     words = -(-n // 64)
     block = max(1, min(words, _GATHER_BYTES // (8 * len(indices))))
+    rows = -(-_SWEEP_WORDS // block)  # fewest rows of a swept position
+    if rows > n:
+        rank, diagonals, tail, tail_ptr = None, [], indices, indptr[:-1]
+    else:
+        deg = np.diff(indptr)
+        order = np.argsort(-deg, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        deg, start, nbr = deg[order], indptr[order], rank[indices]
+        swept = int(deg[rows - 1])  # positions 0..swept-1 each cover >= rows rows
+        ends = np.searchsorted(-deg, -np.arange(swept + 1))  # rows of degree > k
+        diagonals = [nbr[start[:ends[k]] + k] for k in range(swept)]
+        rest = deg[:ends[swept]] - swept
+        tail_ptr = np.zeros(len(rest), dtype=np.intp)
+        np.cumsum(rest[:-1], out=tail_ptr[1:])
+        tail = nbr[np.repeat(start[:len(rest)] + swept - tail_ptr, rest) + np.arange(rest.sum())]
+    return rank, _levels(n, words, block, rank, diagonals, tail, tail_ptr)
+
+
+def _levels(n, words, block, rank, diagonals, tail, tail_ptr):
+    """_all_sources_levels' level loop over blocks of B source words.
+
+    Row r's k-th neighbour is row diagonals[k][r]; rows 0..len(tail_ptr)-1
+    OR their remaining neighbours, listed in tail from tail_ptr on. Each
+    block allocates its buffers once, and frontier and nxt swap every level;
+    np.take runs with mode="clip" because under the default "raise" it
+    copies through a temporary instead of writing out directly.
+    """
     for w0 in range(0, words, block):
         width = min(block, words - w0)
         first = 64 * w0
         src = np.arange(min(n - first, 64 * width), dtype=np.uint64)
-        frontier = np.zeros((width, n), dtype=np.uint64)
-        frontier[src >> 6, first + src] = np.uint64(1) << (src & 63)
+        frontier = np.zeros((n, width), dtype=np.uint64)
+        frontier[first + src if rank is None else rank[first + src], src >> 6] = (
+            np.uint64(1) << (src & 63))
         unseen = ~frontier
+        nxt = np.empty_like(frontier)
+        spare = np.empty((len(diagonals[1]), width), np.uint64) if len(diagonals) > 1 else None
+        gather = np.empty((len(tail), width), np.uint64)
+        part = np.empty((len(tail_ptr), width), np.uint64) if diagonals else None
         for level in range(1, n):  # no distance reaches n
-            nxt = np.bitwise_or.reduceat(np.take(frontier, indices, axis=1), indptr[:-1], axis=1)
+            if diagonals:
+                np.take(frontier, diagonals[0], axis=0, out=nxt, mode="clip")
+            for d in diagonals[1:]:
+                np.take(frontier, d, axis=0, out=spare[:len(d)], mode="clip")
+                nxt[:len(d)] |= spare[:len(d)]
+            if len(tail_ptr):
+                np.take(frontier, tail, axis=0, out=gather, mode="clip")
+                if diagonals:
+                    nxt[:len(tail_ptr)] |= np.bitwise_or.reduceat(gather, tail_ptr, axis=0, out=part)
+                else:
+                    np.bitwise_or.reduceat(gather, tail_ptr, axis=0, out=nxt)
             nxt &= unseen
             if not nxt.any():
                 break
             unseen ^= nxt
             yield first, level, nxt
-            frontier = nxt
+            frontier, nxt = nxt, frontier
 
 
 def _root_bfs(g):
@@ -287,10 +346,14 @@ def transmission_table(g):
 
     A connected graph with m = n - 1 is a tree and goes to tree_transmissions.
     Every other graph takes the bit-parallel kernel, where each level adds
-    level * popcount(nxt[:, v]) to tr[v]. The kernel's working memory is one
-    level's word-major (B, 2m) uint64 gather, which the block width B keeps
-    within _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes), plus
-    a few (B, n) uint64 arrays, each no larger than the gather since n <= 2m.
+    level * popcount of v's row to tr[v]. The kernel's working memory is four
+    vertex-major (n, B) uint64 arrays per block of B source words, two (n, B)
+    arrays of per-word totals (32-bit below n = 2^26), and a gather of the
+    tail's neighbour words: the remaining neighbours of the few vertices of
+    highest degree, or, when n*B < _SWEEP_WORDS, a full (2m, B) gather.
+    Either gather is at most (2m, B), which the block width B keeps within
+    _GATHER_BYTES (32 MiB) up to 2m = 4M (then B = 1: 16m bytes); on
+    gnm(2000, 10000) the call peaks at 2.9 MB, under one full gather's 5.12.
     Memoised per graph.
     """
     return _cached(g, "transmission_table", lambda: _transmission_table(g))
@@ -303,11 +366,26 @@ def _transmission_table(g):
 
 
 def _kernel_transmissions(g):
-    """Transmission table of a connected graph from the all-sources BFS."""
+    """Transmission table of a connected graph from the all-sources BFS.
+
+    Within a block, level * popcount accumulates per word, elementwise, and
+    each row is summed once at the block's end: a sum along the short word
+    axis at every level cost more than the level's elementwise update. A
+    word's total is at most 64 sources times n - 1, which sets its dtype.
+    """
+    rank, levels = _all_sources_levels(g)
+    dtype = np.min_scalar_type(64 * g.n)
     tr = np.zeros(g.n, dtype=np.int64)
-    for _, level, nxt in _all_sources_levels(g):
-        tr += level * np.bitwise_count(nxt).sum(axis=0, dtype=np.int64)
-    return _table_from_transmissions(tr)
+    for _, block in groupby(levels, key=itemgetter(0)):
+        _, _, nxt = next(block)  # level 1: weight 1
+        per_word = np.bitwise_count(nxt).astype(dtype)
+        weighted = np.empty_like(per_word)
+        for _, level, nxt in block:
+            np.bitwise_count(nxt, out=weighted)
+            weighted *= level
+            per_word += weighted
+        tr += per_word.sum(axis=1, dtype=np.int64)
+    return _table_from_transmissions(tr if rank is None else tr[rank])
 
 
 def is_tree(g):
@@ -354,10 +432,13 @@ def distance_matrix(g):
     _check_dense(g)
     if not is_connected(g):
         raise DisconnectedGraph("distance matrix is defined for connected graphs only")
+    rank, levels = _all_sources_levels(g)
     out = np.zeros((g.n, g.n), dtype=np.int64)
-    for first, level, nxt in _all_sources_levels(g):
-        words = np.ascontiguousarray(nxt.T, dtype="<u8")  # (n, B): row v, its sources
-        bits = np.unpackbits(words.view(np.uint8), axis=1,
-                             count=min(g.n - first, 64 * words.shape[1]), bitorder="little")
+    for first, level, nxt in levels:
+        bits = np.unpackbits(nxt.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             count=min(g.n - first, 64 * nxt.shape[1]), bitorder="little")
         np.copyto(out[:, first:first + bits.shape[1]], level, where=bits.view(bool))
+    if rank is not None:  # rows back to vertex order, 64 columns at a time
+        for c in range(0, g.n, 64):
+            out[:, c:c + 64] = out[rank, c:c + 64]
     return out

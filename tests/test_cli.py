@@ -259,6 +259,21 @@ class TestEdgeListFormat:
         assert code == 2
         assert err.startswith("error: line 3: ")
 
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        body = b"3 2\r\n0 1\r\n1 2\r\n"
+        plain, marked, bad = (tmp_path / name for name in ("plain.txt", "bom.txt", "bad.txt"))
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        assert read_edge_list(marked) == read_edge_list(plain)
+        code, _, err = run_cli(capsys, "compute", str(marked))
+        assert code == 0 and err == ""
+        # a bad byte after the mark keeps its line and its offset in the file
+        bad.write_bytes(b"\xef\xbb\xbf3 2\n0 1\n1 \xff2\n")
+        with pytest.raises(EdgeListParseError) as exc:
+            read_edge_list(bad)
+        assert exc.value.line_no == 3
+        assert "byte 0xff at offset 13" in str(exc.value)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))

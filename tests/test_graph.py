@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -286,18 +287,41 @@ class TestAllSourcesKernel:
         monkeypatch.setattr(graph, "_GATHER_BYTES", words_per_block * 8 * 2 * g.m)
         assert_all_sources_match_oracle(g)
 
-    @pytest.mark.parametrize("one_word_blocks", [False, True])
-    @pytest.mark.parametrize("g", [
-        # hub of degree n - 1 beside 129 rim vertices of degree 3: 3 words of sources
-        from_edge_list(130, [(0, v) for v in range(1, 130)]
-                       + [(v, v % 129 + 1) for v in range(1, 130)]),
-        # heavy-tailed: 17 distinct degrees, from 2 to 27
-        preferential_attachment(150, 2, seed=4),
-    ], ids=["wheel130", "preferential150"])
-    def test_skewed_degrees(self, monkeypatch, g, one_word_blocks):
+    @pytest.mark.parametrize("g,one_word_blocks,sweep_words", [
+        pytest.param(g, one, words, id=f"{name}-{one}" + (f"-{split}" if split else ""))
+        for name, g in [
+            # hub of degree n - 1 beside 129 rim vertices of degree 3: 3 words of sources
+            ("wheel130", from_edge_list(130, [(0, v) for v in range(1, 130)]
+                                        + [(v, v % 129 + 1) for v in range(1, 130)])),
+            # heavy-tailed: 17 distinct degrees, from 2 to 27
+            ("preferential150", preferential_attachment(150, 2, seed=4)),
+            ("torus6x7", family("torus", 6, 7)),
+            ("cycle65", family("cycle", 65)),
+        ]
+        # _SWEEP_WORDS: 1 sweeps every neighbour position; 256 sweeps the low
+        # positions of 3-word blocks and leaves the hubs' rest to the reduceat
+        # tail; 2**62 sweeps none
+        for split, words in [("", None), ("all-swept", 1), ("mixed", 256), ("all-tail", 2**62)]
+        for one in (False, True)
+    ])
+    def test_skewed_degrees(self, monkeypatch, g, one_word_blocks, sweep_words):
         if one_word_blocks:
             monkeypatch.setattr(graph, "_GATHER_BYTES", 8 * 2 * g.m)
+        if sweep_words is not None:
+            monkeypatch.setattr(graph, "_SWEEP_WORDS", sweep_words)
         assert_all_sources_match_oracle(g)
+
+    def test_working_memory_below_one_gather(self):
+        # one level's (B, 2m) uint64 gather of every vertex's neighbour
+        # words, at this graph's block width B = 32, is 5.12 MB
+        g = gnm_connected(2000, 10000, seed=5)
+        tracemalloc.start()
+        try:
+            graph._kernel_transmissions(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 32 * 2 * g.m
 
 
 class TestPendantsAndTrees:
