@@ -42,12 +42,7 @@ from .invariants import (
     is_transmission_regular,
     normalized_laplacian_mu,
 )
-from .lp import (
-    LinearProgram,
-    LPSolution,
-    gamma_lp_details,
-    simplex_solve,
-)
+from .lp import gamma_lp_details
 
 __version__ = "0.1.0"
 
@@ -57,8 +52,6 @@ __all__ = [
     "FamilySpec",
     "GammaCertificate",
     "Graph",
-    "LPSolution",
-    "LinearProgram",
     "Rational",
     "SpectralEstimate",
     "TransmissionTable",
@@ -84,7 +77,6 @@ __all__ = [
     "is_transmission_regular",
     "is_tree",
     "normalized_laplacian_mu",
-    "simplex_solve",
     "transmission_table",
     "tree_transmissions",
 ]

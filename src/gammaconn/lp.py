@@ -1,30 +1,28 @@
-"""Linear-programming cross-checks for the connectivity invariant.
+"""Linear-programming cross-check for the connectivity invariant.
 
-One two-phase revised bounded-variable simplex (box bounds stay on the
-variables instead of becoming rows; Bland's rule, hence deterministic and
-cycle-free) solves a batch of programs that share rows and bounds and differ
-only in their objective. The programs run in lockstep: each keeps its own
-basis inverse, basis and values, and every round prices all of them with one
-batched product and updates every inverse with one batched rank-1 (eta)
-update, so the fixed cost of a step is paid once per round, not once per
-program. Each program takes the same steps as it would alone, and
-`simplex_solve` is the batch of one. Blocks of programs keep their (B, r, r)
-inverses within `_INVERSE_BYTES`.
+One revised bounded-variable simplex (box bounds stay on the variables
+instead of becoming rows; Bland's rule, hence deterministic and cycle-free)
+solves a batch of programs a x <= rhs, lo <= x <= hi that share rows and
+bounds and differ only in their objective. Every program must start
+feasible from the slack basis, so there is no phase one. The programs run in
+lockstep: each keeps its own basis inverse, basis and values, and every
+round prices all of them with one batched product and updates every inverse
+with one batched rank-1 (eta) update, so the fixed cost of a step is paid
+once per round, not once per program. Each program takes the same steps as
+it would alone. Blocks of programs keep their (B, r, r) inverses within
+`_INVERSE_BYTES`.
 
 The batch drives the per-vertex minimax oracle, whose minimum over pinned
 vertices reproduces the invariant. Program k minimises the largest edge
 difference |x_u - x_v| subject to sum(x) = 0, -1 <= x <= 1 and x_k = 1; its
-primal form has 2m + 1 rows, so the oracle solves all n programs cold, in
-one batch, in their dual form, which has n + 1 rows and starts feasible from
-the slack basis.
+primal form has 2m + 1 rows and an equality, so the oracle solves all n
+programs cold, in one batch, in their dual form, which has n + 1 `<=` rows
+and starts feasible from the slack basis.
 
 The pivoting tolerance is fixed at `_TOL` = 1e-9; no caller sets it.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import math
 import numpy as np
@@ -38,54 +36,12 @@ from .errors import (
 from .graph import Graph, is_connected
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-LESS_EQ = "<="
-EQUAL = "="
-GREATER_EQ = ">="
-
 _TOL = 1e-9  # reduced costs and ratio-test entries this small count as zero
-_FEAS_TOL = 1e-8
 # one block's (B, r, r) float64 basis inverses stay within this; each pivot
 # makes one more array of that size
 _INVERSE_BYTES = 512 << 10
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Minimization LP: objective @ x subject to row constraints and box bounds.
-
-    The sequences may be tuples or numpy arrays: the oracle passes its rows
-    as array rows and its bounds as one (num_vars, 2) array.
-    """
-
-    num_vars: int
-    objective: Sequence[float] | np.ndarray
-    constraints: Sequence[tuple[Sequence[float] | np.ndarray, str, float]]
-    bounds: Sequence[tuple[float, float]] | np.ndarray
-
-    def __post_init__(self):
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length != num_vars")
-        if len(self.bounds) != self.num_vars:
-            raise ValueError("bounds length != num_vars")
-        for coeffs, rel, _ in self.constraints:
-            if len(coeffs) != self.num_vars:
-                raise ValueError("constraint coefficient length != num_vars")
-            if rel not in (LESS_EQ, EQUAL, GREATER_EQ):
-                raise ValueError(f"unknown relation {rel!r}")
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    status: str
-    objective: float | None
-    assignment: np.ndarray | None
-    iterations: int
 
 
 def _pivot(binv, basis, column, who, row, col):
@@ -105,10 +61,10 @@ def _pivot(binv, basis, column, who, row, col):
     basis[who, row] = col
 
 
-def _run_phase(binv, basis, x, cost, full, lo, hi, cap, steps):
+def _run_phase(binv, basis, x, cost, full, lo, hi, cap):
     """Bland steps, in lockstep, on a batch of programs that share rows and bounds.
 
-    `full` holds the rows [A | I | artificials]. Program i has the basis
+    `full` holds the rows [A | I]. Program i has the basis
     inverse binv[i], the basis basis[i], every variable's value x[i]
     (nonbasic ones at a bound, free ones at 0) and its own costs cost[i].
     One round prices every live program with one batched product (reduced
@@ -116,12 +72,12 @@ def _run_phase(binv, basis, x, cost, full, lo, hi, cap, steps):
     it in, or flips it to its other bound when its own span binds first.
     Every live program takes one step per round, so a program's count is
     the round it finishes in. The four arrays are worked on in place with
-    the live programs packed at the front, so a batch of one ends with its
-    final state in row 0. Returns (status, steps, x) per program; status is
-    OPTIMAL or UNBOUNDED.
+    the live programs packed at the front. Returns (status, steps, x) per
+    program; status is OPTIMAL or UNBOUNDED.
     """
+    steps = 0
     status = np.full(len(x), OPTIMAL, dtype=object)
-    finished = np.full(len(x), steps)
+    finished = np.zeros(len(x), dtype=int)
     final = np.empty_like(x)
     live = np.arange(len(x))
     nonbasic = np.ones(x.shape, dtype=bool)
@@ -192,59 +148,38 @@ def _run_phase(binv, basis, x, cost, full, lo, hi, cap, steps):
     return status, finished, final
 
 
-def simplex_solve_many(lp: LinearProgram, objectives) -> list[LPSolution]:
-    """Solve lp's rows and bounds once per row of `objectives`, in lockstep.
+def simplex_solve_many(a, rhs, bounds, objectives):
+    """Minimise each row of `objectives` subject to a x <= rhs and box bounds.
 
-    A two-phase revised bounded-variable simplex with Bland's anti-cycling
-    rule. Every variable keeps its own [lo, hi], so box bounds need no rows;
-    a nonbasic variable sits at a finite bound, a free one at 0. Row i gets
-    a slack s_i with A_i x + s_i = b_i (bounds [0, inf), (-inf, 0] or
-    [0, 0] for <=, >= and =). A row whose slack cannot start basic at the
-    initial bounds gets an artificial; phase one minimizes their sum, once
-    for the whole batch, and phase two fixes them to [0, 0] and starts
-    every objective from phase one's basis. `lp.objective` is not read.
-    Programs run in equal blocks whose basis inverses fit in
-    `_INVERSE_BYTES`.
-    `iterations` counts pivots plus bound flips, phase one included; each
-    program takes the same steps as it would alone.
+    `a` is (m, n) and `bounds` holds one (lo, hi) per variable. A revised
+    bounded-variable simplex with Bland's anti-cycling rule runs all
+    objectives in lockstep. Every variable keeps its own [lo, hi], so box
+    bounds need no rows; a nonbasic variable sits at a finite bound, a free
+    one at 0. Row i gets a slack s_i >= 0 with a_i x + s_i = rhs_i. Every
+    program starts from the slack basis, each variable at its lower bound
+    if finite, else its upper bound if finite, else 0; that start must be
+    feasible, so ValueError if rhs - a @ start has a negative entry. Programs
+    run in equal blocks whose basis inverses fit in `_INVERSE_BYTES`.
+    Returns (status, value, x, steps) per objective: status is OPTIMAL or
+    UNBOUNDED (value and x None), and steps counts pivots plus bound flips,
+    the same as the program would take alone.
     """
-    n, m = lp.num_vars, len(lp.constraints)
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
     objectives = np.array(objectives, dtype=float).reshape(len(objectives), n)
-    a = np.array([coeffs for coeffs, _, _ in lp.constraints], dtype=float).reshape(m, n)
-    rhs = np.array([r for _, _, r in lp.constraints], dtype=float)
-    rels = [rel for _, rel, _ in lp.constraints]
-    slack_lo = np.array([-math.inf if rel == GREATER_EQ else 0.0 for rel in rels])
-    slack_hi = np.array([math.inf if rel == LESS_EQ else 0.0 for rel in rels])
-    lo, hi = np.array(lp.bounds, dtype=float).reshape(n, 2).T
+    lo, hi = np.array(bounds, dtype=float).reshape(n, 2).T
     start = np.where(lo > -math.inf, lo, np.where(hi < math.inf, hi, 0.0))
-    resid = rhs - a @ start
-    art = np.flatnonzero((resid < slack_lo) | (resid > slack_hi))
-    k = len(art)
-    width = n + m + k
-    full = np.zeros((m, width))
-    full[:, :n] = a
-    full[:, n:n + m] = np.eye(m)
-    full[art] *= np.sign(resid[art])[:, None]
-    full[art, n + m + np.arange(k)] = 1.0
-    basis = np.arange(n, n + m)
-    basis[art] = np.arange(n + m, width)
-    slack = resid.copy()
-    slack[art] = 0.0
-    x = np.concatenate([start, slack, np.abs(resid[art])])[None]
-    lo = np.concatenate([lo, slack_lo, np.zeros(k)])
-    hi = np.concatenate([hi, slack_hi, np.full(k, math.inf)])
-    binv, basis = np.eye(m)[None], basis[None]
+    slack = np.asarray(rhs, dtype=float) - a @ start
+    if (slack < 0).any():
+        raise ValueError("the slack basis is infeasible: rhs - a @ start has a negative entry")
+    width = n + m
+    full = np.hstack([a, np.eye(m)])
+    x = np.concatenate([start, slack])[None]
+    lo = np.concatenate([lo, np.zeros(m)])
+    hi = np.concatenate([hi, np.full(m, math.inf)])
+    binv, basis = np.eye(m)[None], np.arange(n, width)[None]
 
     cap = 200 * (m + width + 10)
-    steps = 0
-    if k:
-        cost = np.zeros((1, width))
-        cost[0, n + m:] = 1.0
-        status, finished, x = _run_phase(binv, basis, x, cost, full, lo, hi, cap, steps)
-        steps = int(finished[0])
-        if status[0] != OPTIMAL or x[0, n + m:].sum() > _FEAS_TOL:
-            return [LPSolution(INFEASIBLE, None, None, steps) for _ in objectives]
-        hi[n + m:] = 0.0
     per_block = max(1, _INVERSE_BYTES // max(1, 8 * m * m))
     solutions = []
     for part in np.array_split(objectives, max(1, -(-len(objectives) // per_block))):
@@ -252,19 +187,14 @@ def simplex_solve_many(lp: LinearProgram, objectives) -> list[LPSolution]:
         cost[:, :n] = part
         status, finished, xs = _run_phase(
             np.repeat(binv, len(part), axis=0), np.repeat(basis, len(part), axis=0),
-            np.repeat(x, len(part), axis=0), cost, full, lo, hi, cap, steps)
+            np.repeat(x, len(part), axis=0), cost, full, lo, hi, cap)
         for verdict, count, c, xi in zip(status, finished.tolist(), part, xs):
             if verdict == UNBOUNDED:
-                solutions.append(LPSolution(UNBOUNDED, None, None, count))
+                solutions.append((UNBOUNDED, None, None, count))
             else:
                 assignment = xi[:n].copy()
-                solutions.append(LPSolution(OPTIMAL, float(c @ assignment), assignment, count))
+                solutions.append((OPTIMAL, float(c @ assignment), assignment, count))
     return solutions
-
-
-def simplex_solve(lp: LinearProgram) -> LPSolution:
-    """Solve one program: `simplex_solve_many` on the batch of lp.objective alone."""
-    return simplex_solve_many(lp, [lp.objective])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +211,11 @@ def _pinned_duals(g: Graph):
     (-A^T lambda + mu e - beta)_j <= c_j, and since lo_y = 0 the dual value
     is minus the minimum of lo.(-A^T lambda + mu e) + (hi - lo).beta. The
     variables are lambda (2m), mu, then beta (n + 1). Only lo, hence the
-    objective, depends on k, so this returns one `LinearProgram` of the
-    shared rows and bounds (zero objective) and the (n, width) objective
-    matrix, row k from program k's lo. Every program starts feasible from
-    the slack basis, so none needs a phase one.
+    objective, depends on k, so this returns the shared rows `cols`, their
+    right-hand sides and the bounds, and the (n, width) objective matrix, row
+    k from program k's lo: the arguments of `simplex_solve_many`. Every
+    program starts feasible from the slack basis (the right-hand sides are
+    nonnegative and every variable starts at 0).
     """
     n, m = g.n, g.m
     u, v = g.edges[:, 0], g.edges[:, 1]
@@ -296,7 +227,8 @@ def _pinned_duals(g: Graph):
     cols[n, :2 * m] = 1.0  # every edge row has -1 at y
     cols[:n, 2 * m] = 1.0  # mu
     np.fill_diagonal(cols[:, 2 * m + 1:], -1.0)  # beta
-    rows = tuple(zip(cols, (LESS_EQ,) * (n + 1), (0.0,) * n + (1.0,)))
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
     bounds = np.zeros((width, 2))
     bounds[:, 1] = math.inf
     bounds[2 * m, 0] = -math.inf
@@ -307,7 +239,7 @@ def _pinned_duals(g: Graph):
     lows[:, n] = 0.0
     objectives = lows @ cols
     objectives[:, 2 * m + 1:] += hi  # beta's entries, -lo from the product, are hi - lo
-    return LinearProgram(width, np.zeros(width), rows, bounds), objectives
+    return cols, rhs, bounds, objectives
 
 
 def gamma_lp_details(g: Graph):
@@ -325,10 +257,10 @@ def gamma_lp_details(g: Graph):
     per_k = []
     best_k = -1
     best = math.inf
-    for k, sol in enumerate(simplex_solve_many(*_pinned_duals(g))):
-        if sol.status != OPTIMAL:
-            raise GammaConnError(f"pinned-vertex dual LP at k={k} reported {sol.status}")
-        per_k.append(-sol.objective)
+    for k, (status, value, _, _) in enumerate(simplex_solve_many(*_pinned_duals(g))):
+        if status != OPTIMAL:
+            raise GammaConnError(f"pinned-vertex dual LP at k={k} reported {status}")
+        per_k.append(-value)
         if per_k[k] < best - 1e-12:
             best = per_k[k]
             best_k = k

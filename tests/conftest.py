@@ -3,13 +3,10 @@
 Oracles here deliberately avoid the package's own machinery: distances come
 from Floyd-Warshall on a dense table, spectra from numpy's eigensolver,
 expansion and the l1 cut from a plain subset loop, LP optima from vertex
-enumeration, the witness objective from a per-edge loop, edge-list parsing
-from a per-line loop, graph construction from sorted Python lists. Tests
-compare package output against these, never against itself. Two exceptions
-run the package simplex, each on a formulation that shares nothing with what
-it checks: `naive_l1_lp` (one LP per sign pattern, against the subset
-formula) and the primal pinned-vertex program `build_lp_k` / `solve_lp_k`
-(2m + 1 edge rows, against the oracle's dual form).
+enumeration or scipy's HiGHS, the witness objective from a per-edge loop,
+edge-list parsing from a per-line loop, graph construction from sorted
+Python lists. Tests compare package output against these, never against
+itself.
 """
 
 import math
@@ -19,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gammaconn import FamilySpec, from_edge_list, generate
 from gammaconn.edgelist import MAX_VERTICES
@@ -29,7 +27,6 @@ from gammaconn.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from gammaconn.lp import INFEASIBLE, OPTIMAL, LinearProgram, simplex_solve
 
 INF = 10 ** 9
 
@@ -114,18 +111,18 @@ def naive_l1_lp(n, edges):
         for s in (1.0, -1.0):
             row = [0.0] * (n + m)
             row[u], row[v], row[n + i] = s, -s, -1.0
-            rows.append((tuple(row), "<=", 0.0))
-    rows.append((tuple([1.0] * n + [0.0] * m), "=", 0.0))
-    objective = tuple([0.0] * n + [1.0] * m)
+            rows.append((row, "<=", 0.0))
+    rows.append(([1.0] * n + [0.0] * m, "=", 0.0))
+    objective = [0.0] * n + [1.0] * m
     best = math.inf
     for mask in range(2 ** (n - 1)):
         sign = [1.0] + [-1.0 if mask >> (v - 1) & 1 else 1.0 for v in range(1, n)]
-        norm = (tuple(sign + [0.0] * m), "=", 1.0)
+        norm = (sign + [0.0] * m, "=", 1.0)
         bounds = [(0.0, 1.0) if s > 0 else (-1.0, 0.0) for s in sign] + [(0.0, 2.0)] * m
-        sol = simplex_solve(LinearProgram(n + m, objective, (*rows, norm), tuple(bounds)))
-        assert sol.status == (OPTIMAL if mask else INFEASIBLE)
-        if sol.status == OPTIMAL:
-            best = min(best, sol.objective)
+        sol = highs_lp(objective, (*rows, norm), bounds)
+        assert (sol is None) == (mask == 0)
+        if sol is not None:
+            best = min(best, sol[0])
     return best
 
 
@@ -136,6 +133,7 @@ def build_lp_k(g, k):
     Variables are x_0..x_{n-1} and y (last); 2m + 1 rows. Pinning is the
     equal bounds [1, 1], and y keeps the implied window [0, 2]. The package
     oracle solves the LP dual of this program, built from other rows.
+    Returns (objective, constraints, bounds) in `naive_lp`'s format.
     """
     n = g.n
     constraints = []
@@ -143,18 +141,40 @@ def build_lp_k(g, k):
         for s in (1.0, -1.0):
             row = [0.0] * (n + 1)
             row[u], row[v], row[n] = s, -s, -1.0
-            constraints.append((tuple(row), "<=", 0.0))
-    constraints.append((tuple([1.0] * n + [0.0]), "=", 0.0))
+            constraints.append((row, "<=", 0.0))
+    constraints.append(([1.0] * n + [0.0], "=", 0.0))
     bounds = [(-1.0, 1.0)] * n + [(0.0, 2.0)]
     bounds[k] = (1.0, 1.0)
-    return LinearProgram(n + 1, tuple([0.0] * n + [1.0]), tuple(constraints), tuple(bounds))
+    return [0.0] * n + [1.0], constraints, bounds
 
 
 def solve_lp_k(g, k):
-    """Program k of build_lp_k solved by the package simplex; it is always optimal."""
-    sol = simplex_solve(build_lp_k(g, k))
-    assert sol.status == OPTIMAL
+    """Program k of build_lp_k solved by HiGHS: (value, x); it is always feasible."""
+    sol = highs_lp(*build_lp_k(g, k))
+    assert sol is not None
     return sol
+
+
+def highs_lp(objective, constraints, bounds):
+    """LP minimum from scipy's HiGHS: (value, x), or None if infeasible.
+
+    Takes `naive_lp`'s format: rows (coeffs, relation, rhs) with relation
+    "<=", ">=" or "=", and one (lo, hi) pair per variable. Any other
+    outcome fails the calling test: no program given here is unbounded.
+    """
+    n = len(objective)
+    upper, upper_rhs, equal, equal_rhs = [], [], [], []
+    for coeffs, rel, rhs in constraints:
+        sign = -1.0 if rel == ">=" else 1.0
+        rows, rhss = (equal, equal_rhs) if rel == "=" else (upper, upper_rhs)
+        rows.append(sign * np.asarray(coeffs, dtype=float))
+        rhss.append(sign * rhs)
+    res = linprog(objective,
+                  A_ub=np.reshape(upper, (-1, n)) if upper else None, b_ub=upper_rhs or None,
+                  A_eq=np.reshape(equal, (-1, n)) if equal else None, b_eq=equal_rhs or None,
+                  bounds=bounds, method="highs")
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return (res.fun, res.x) if res.status == 0 else None
 
 
 def naive_objective(n, edges, x):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import product as iter_product
 
+import numpy as np
 import pytest
 
 from gammaconn import (
     FamilySpec,
+    Graph,
     cartesian_product,
     closed_form_gamma,
     gamma,
@@ -13,7 +15,7 @@ from gammaconn import (
     is_transmission_regular,
     transmission_table,
 )
-from gammaconn.errors import InvalidSpec, NonPositiveInput
+from gammaconn.errors import EmptyFactor, InvalidSpec, NonPositiveInput
 
 from conftest import edge_list, family, naive_distances, small_family_corpus
 
@@ -103,6 +105,16 @@ class TestCartesianProduct:
     def test_needs_two_factors(self):
         with pytest.raises(ValueError):
             cartesian_product([family("path", 3)])
+
+    def test_empty_factor_is_named(self):
+        # the public constructor accepts a graph with no vertices; without the
+        # guard the product's own from_edge_list would refuse vertex count 0,
+        # naming the product instead of the factor
+        empty = Graph(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                      np.zeros((0, 2), dtype=np.int64))
+        for factors in ([empty, family("path", 2)], [family("path", 2), empty]):
+            with pytest.raises(EmptyFactor, match="every factor must have at least one vertex"):
+                cartesian_product(factors)
 
     def test_row_major_ids(self):
         # vertex (u, v) of A x B is u * |B| + v: check a known adjacency

@@ -6,18 +6,7 @@ import pytest
 from gammaconn import b_small_oracle, gamma, transmission_table
 from gammaconn import lp as lp_module
 from gammaconn.errors import DisconnectedGraph, TooLarge, TooSmall
-from gammaconn.lp import (
-    EQUAL,
-    GREATER_EQ,
-    INFEASIBLE,
-    LESS_EQ,
-    OPTIMAL,
-    UNBOUNDED,
-    LinearProgram,
-    gamma_lp_details,
-    simplex_solve,
-    simplex_solve_many,
-)
+from gammaconn.lp import OPTIMAL, UNBOUNDED, gamma_lp_details, simplex_solve_many
 from gammaconn.random_graphs import gnm_connected, gnp_connected, random_tree
 
 from conftest import (  # noqa: F401
@@ -25,6 +14,7 @@ from conftest import (  # noqa: F401
     counted,
     edge_list,
     family,
+    highs_lp,
     naive_distances,
     naive_l1_cut,
     naive_l1_lp,
@@ -36,187 +26,160 @@ from conftest import (  # noqa: F401
 INF = math.inf
 
 
+def solve(a, rhs, bounds, objective):
+    """One program: the batch of one, as (status, value, x, steps)."""
+    n = len(objective)
+    return simplex_solve_many(np.reshape(np.asarray(a, dtype=float), (-1, n)), rhs, bounds,
+                              [objective])[0]
+
+
 class TestSimplex:
     def test_bounded_maximization(self):
-        lp = LinearProgram(1, (-1.0,), (), ((0.0, 1.0),))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-1.0, abs=1e-9)
-        assert sol.assignment[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_infeasible(self):
-        lp = LinearProgram(1, (1.0,), (((1.0,), LESS_EQ, -1.0),), ((0.0, INF),))
-        assert simplex_solve(lp).status == INFEASIBLE
+        status, value, x, _ = solve([], [], [(0.0, 1.0)], [-1.0])
+        assert status == OPTIMAL
+        assert value == pytest.approx(-1.0, abs=1e-9)
+        assert x[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_unbounded(self):
-        lp = LinearProgram(1, (-1.0,), (), ((0.0, INF),))
-        assert simplex_solve(lp).status == UNBOUNDED
+        status, value, x, _ = solve([], [], [(0.0, INF)], [-1.0])
+        assert (status, value, x) == (UNBOUNDED, None, None)
 
     def test_free_variable_split(self):
-        # minimize x subject to x >= -5 expressed as a row, x genuinely free
-        lp = LinearProgram(1, (1.0,), (((1.0,), GREATER_EQ, -5.0),), ((-INF, INF),))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-5.0, abs=1e-8)
+        # minimize x subject to -x <= 5 as a row, x genuinely free (starts at 0)
+        status, value, _, _ = solve([[-1.0]], [5.0], [(-INF, INF)], [1.0])
+        assert status == OPTIMAL
+        assert value == pytest.approx(-5.0, abs=1e-8)
 
     def test_reflected_variable(self):
         # only an upper bound: minimize -x, x <= 7
-        lp = LinearProgram(1, (-1.0,), (), ((-INF, 7.0),))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL and sol.assignment[0] == pytest.approx(7.0)
+        status, _, x, _ = solve([], [], [(-INF, 7.0)], [-1.0])
+        assert status == OPTIMAL and x[0] == pytest.approx(7.0)
 
-    def test_equality_row(self):
-        lp = LinearProgram(
-            2, (1.0, 2.0),
-            (((1.0, 1.0), EQUAL, 4.0),),
-            ((0.0, INF), (0.0, INF)))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(4.0, abs=1e-8)
-        assert sol.assignment.tolist() == pytest.approx([4.0, 0.0], abs=1e-8)
+    def test_slack_infeasible_start_raises(self):
+        # x >= 0 starts at 0, where x <= -1 leaves the slack at -1: no phase one
+        with pytest.raises(ValueError, match="slack basis is infeasible"):
+            solve([[1.0]], [-1.0], [(0.0, INF)], [1.0])
+        # a free variable starts at 0 and an upper-bounded one at its bound
+        with pytest.raises(ValueError, match="slack basis is infeasible"):
+            solve([[1.0, 1.0]], [2.0], [(-INF, INF), (-INF, 3.0)], [1.0, 1.0])
 
     def test_solution_satisfies_constraints(self):
-        lp = LinearProgram(
-            3, (1.0, -2.0, 1.5),
-            (((1.0, 1.0, 1.0), LESS_EQ, 10.0),
-             ((1.0, -1.0, 0.0), GREATER_EQ, -3.0),
-             ((0.0, 1.0, 1.0), EQUAL, 5.0)),
-            ((0.0, 8.0), (0.0, 8.0), (-2.0, 8.0)))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        x = sol.assignment
-        assert x[0] + x[1] + x[2] <= 10 + 1e-8
-        assert x[0] - x[1] >= -3 - 1e-8
-        assert abs(x[1] + x[2] - 5) <= 1e-8
-        assert abs(sol.objective - float(np.array(lp.objective) @ x)) <= 1e-8
+        a = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        rhs = np.array([10.0, 3.0, 5.0])
+        bounds = [(0.0, 8.0), (0.0, 8.0), (-2.0, 8.0)]
+        objective = [1.0, -2.0, 1.5]
+        status, value, x, _ = solve(a, rhs, bounds, objective)
+        assert status == OPTIMAL
+        assert (a @ x <= rhs + 1e-8).all()
+        assert all(lo - 1e-8 <= v <= hi + 1e-8 for v, (lo, hi) in zip(x, bounds))
+        assert abs(value - float(np.array(objective) @ x)) <= 1e-8
+        expected = highs_lp(objective, [(row, "<=", r) for row, r in zip(a, rhs)], bounds)
+        assert value == pytest.approx(expected[0], abs=1e-9)
 
     def test_deterministic(self):
-        lp = LinearProgram(
-            3, (1.0, -2.0, 1.5),
-            (((1.0, 1.0, 1.0), LESS_EQ, 10.0),
-             ((0.0, 1.0, 1.0), EQUAL, 5.0)),
-            ((0.0, 8.0), (0.0, 8.0), (-2.0, 8.0)))
-        a = simplex_solve(lp)
-        b = simplex_solve(lp)
-        assert a.status == b.status
-        assert a.objective == b.objective
-        assert a.iterations == b.iterations
-        assert a.assignment.tolist() == b.assignment.tolist()
+        args = ([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [10.0, 5.0],
+                [(0.0, 8.0), (0.0, 8.0), (-2.0, 8.0)], [1.0, -2.0, 1.5])
+        first, second = solve(*args), solve(*args)
+        assert first[:2] == second[:2] and first[3] == second[3]
+        assert first[2].tolist() == second[2].tolist()
 
     def test_bound_flip_counts_as_a_step(self, monkeypatch):
         # x0 enters first and reaches its own upper bound before the row
         # binds (a flip, no pivot); x1 then enters and pivots the slack out
-        lp = LinearProgram(
-            2, (-1.0, -1.0),
-            (((1.0, 1.0), LESS_EQ, 5.0),),
-            ((0.0, 1.0), (0.0, 10.0)))
         pivots = []
         pivot = lp_module._pivot
         monkeypatch.setattr(lp_module, "_pivot",
                             lambda *args: pivots.append(args[2:]) or pivot(*args))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.assignment.tolist() == pytest.approx([1.0, 4.0], abs=1e-12)
-        assert len(pivots) == 1 and sol.iterations == 2
+        status, _, x, steps = solve([[1.0, 1.0]], [5.0], [(0.0, 1.0), (0.0, 10.0)],
+                                    [-1.0, -1.0])
+        assert status == OPTIMAL
+        assert x.tolist() == pytest.approx([1.0, 4.0], abs=1e-12)
+        assert len(pivots) == 1 and steps == 2
 
     def test_beale_cycling_example(self):
         # Beale (1955): degenerate, and cycles under the largest-coefficient
         # entering rule; Bland's rule must terminate (else IterationCap)
-        lp = LinearProgram(
-            4, (-0.75, 20.0, -0.5, 6.0),
-            (((0.25, -8.0, -1.0, 9.0), LESS_EQ, 0.0),
-             ((0.5, -12.0, -0.5, 3.0), LESS_EQ, 0.0)),
-            ((0.0, INF), (0.0, INF), (0.0, 1.0), (0.0, INF)))
-        sol = simplex_solve(lp)
-        assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-1.25, abs=1e-12)
-        assert sol.assignment.tolist() == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearProgram(2, (1.0,), (), ((0.0, 1.0), (0.0, 1.0)))
-        with pytest.raises(ValueError):
-            LinearProgram(1, (1.0,), (), ((2.0, 1.0),))
-        with pytest.raises(ValueError):
-            LinearProgram(1, (1.0,), (((1.0,), "!=", 0.0),), ((0.0, 1.0),))
+        status, value, x, _ = solve(
+            [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0]], [0.0, 0.0],
+            [(0.0, INF), (0.0, INF), (0.0, 1.0), (0.0, INF)], [-0.75, 20.0, -0.5, 6.0])
+        assert status == OPTIMAL
+        assert value == pytest.approx(-1.25, abs=1e-12)
+        assert x.tolist() == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
 
-def random_boxed_lp(rng):
-    """Small integer LP: n <= 4 boxed or fixed variables, m <= 4 mixed rows."""
-    n, m = int(rng.integers(1, 5)), int(rng.integers(0, 5))
-    relations = (LESS_EQ, EQUAL, GREATER_EQ)
-    constraints = tuple(
-        (tuple(float(c) for c in rng.integers(-3, 4, n)),
-         relations[int(rng.integers(3))], float(rng.integers(-4, 5)))
-        for _ in range(m))
-    bounds = []
-    for _ in range(n):
-        lo = float(rng.integers(-3, 3))
-        bounds.append((lo, lo if rng.random() < 0.2 else lo + float(rng.integers(1, 4))))
-    objective = tuple(float(c) for c in rng.integers(-3, 4, n))
-    return LinearProgram(n, objective, constraints, tuple(bounds))
+def random_boxed_lp(rng, max_vars=4, max_rows=4):
+    """Integer program a x <= rhs over boxed or fixed variables, feasible at lo.
+
+    rhs = a @ lo + a nonnegative slack (zero about a third of the time, so
+    starts are often degenerate). Returns (a, rhs, bounds, objective).
+    """
+    n, m = int(rng.integers(1, max_vars + 1)), int(rng.integers(0, max_rows + 1))
+    a = rng.integers(-3, 4, (m, n)).astype(float)
+    lo = rng.integers(-3, 3, n).astype(float)
+    hi = lo + np.where(rng.random(n) < 0.2, 0.0, rng.integers(1, 4, n))
+    rhs = a @ lo + np.maximum(rng.integers(-2, 5, m), 0)
+    return a, rhs, np.column_stack([lo, hi]), rng.integers(-3, 4, n).astype(float)
+
+
+def check_against(oracle, a, rhs, bounds, objective):
+    status, value, x, _ = solve(a, rhs, bounds, objective)
+    expected = oracle(objective, [(row, "<=", r) for row, r in zip(a, rhs)], bounds)
+    assert status == OPTIMAL  # boxed and feasible at lo: always optimal
+    assert value == pytest.approx(expected[0], abs=1e-7)
+    assert (a @ x <= rhs + 1e-9).all()
+    assert ((bounds[:, 0] - 1e-9 <= x) & (x <= bounds[:, 1] + 1e-9)).all()
 
 
 class TestAgainstVertexEnumeration:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_boxed_lps(self, seed):
         rng = np.random.default_rng(seed)
-        statuses = []
         for _ in range(100):
-            lp = random_boxed_lp(rng)
-            sol = simplex_solve(lp)
-            expected = naive_lp(lp.objective, lp.constraints, lp.bounds)
-            statuses.append(sol.status)
-            if expected is None:
-                assert sol.status == INFEASIBLE
-            else:
-                assert sol.status == OPTIMAL
-                assert sol.objective == pytest.approx(expected[0], abs=1e-7)
-        assert {OPTIMAL, INFEASIBLE} <= set(statuses)
+            program = random_boxed_lp(rng)
+            check_against(naive_lp, *program)
+            check_against(highs_lp, *program)
+
+
+class TestAgainstHighs:
+    """Programs too large for vertex enumeration: up to 12 variables and 10 rows."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_boxed_lps_at_size(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(25):
+            check_against(highs_lp, *random_boxed_lp(rng, max_vars=12, max_rows=10))
 
 
 class TestBatch:
-    """`simplex_solve_many` against one `simplex_solve` per objective."""
+    """`simplex_solve_many` on several objectives against each objective alone."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_single_solves(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(30):
-            lp = random_boxed_lp(rng)
-            objectives = [lp.objective] + [
-                tuple(float(c) for c in rng.integers(-3, 4, lp.num_vars)) for _ in range(4)]
-            batch = simplex_solve_many(lp, objectives)
+            a, rhs, bounds, objective = random_boxed_lp(rng)
+            objectives = [objective] + [rng.integers(-3, 4, len(objective)).astype(float)
+                                        for _ in range(4)]
+            batch = simplex_solve_many(a, rhs, bounds, objectives)
             assert len(batch) == len(objectives)
-            for objective, got in zip(objectives, batch):
-                alone = simplex_solve(
-                    LinearProgram(lp.num_vars, objective, lp.constraints, lp.bounds))
-                assert got.status == alone.status
-                assert got.iterations == alone.iterations
-                if alone.status == OPTIMAL:
-                    assert got.objective == pytest.approx(alone.objective, abs=1e-12)
+            for c, got in zip(objectives, batch):
+                alone = solve(a, rhs, bounds, c)
+                assert got[0] == alone[0] and got[3] == alone[3]
+                assert got[1] == pytest.approx(alone[1], abs=1e-12)
 
     def test_unbounded_member_keeps_the_others_optimal(self):
         # x1 - x0 <= 2 with x0 >= 0 unbounded above: min -x0 is unbounded,
         # min x0 - x1 is -2 (x1 = 4, x0 = 2) and min x1 is 0
-        lp = LinearProgram(2, (0.0, 0.0), (((-1.0, 1.0), LESS_EQ, 2.0),),
-                           ((0.0, INF), (0.0, 4.0)))
+        a, rhs, bounds = [[-1.0, 1.0]], [2.0], [(0.0, INF), (0.0, 4.0)]
         objectives = [(1.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]
-        batch = simplex_solve_many(lp, objectives)
-        assert [sol.status for sol in batch] == [OPTIMAL, UNBOUNDED, OPTIMAL]
-        assert batch[0].objective == pytest.approx(-2.0, abs=1e-12)
-        assert batch[1].objective is None and batch[1].assignment is None
-        assert batch[2].objective == pytest.approx(0.0, abs=1e-12)
-        for objective, got in zip(objectives, batch):
-            alone = simplex_solve(LinearProgram(2, objective, lp.constraints, lp.bounds))
-            assert (got.status, got.iterations) == (alone.status, alone.iterations)
-
-    def test_infeasible_rows_fail_every_member(self):
-        # x0 + x1 >= 5 cannot hold with x0 <= 1 and x1 <= 2, whatever the objective
-        lp = LinearProgram(2, (0.0, 0.0), (((1.0, 1.0), GREATER_EQ, 5.0),),
-                           ((0.0, 1.0), (0.0, 2.0)))
-        batch = simplex_solve_many(lp, [(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0)])
-        assert [sol.status for sol in batch] == [INFEASIBLE] * 3
-        assert all(sol.objective is None and sol.assignment is None for sol in batch)
+        batch = simplex_solve_many(a, rhs, bounds, objectives)
+        assert [sol[0] for sol in batch] == [OPTIMAL, UNBOUNDED, OPTIMAL]
+        assert batch[0][1] == pytest.approx(-2.0, abs=1e-12)
+        assert batch[1][1] is None and batch[1][2] is None
+        assert batch[2][1] == pytest.approx(0.0, abs=1e-12)
+        for c, got in zip(objectives, batch):
+            alone = solve(a, rhs, bounds, c)
+            assert (got[0], got[3]) == (alone[0], alone[3])
 
     @pytest.mark.parametrize("per_block", [1, 7])
     def test_blocks_keep_per_k_and_best_k(self, monkeypatch, per_block):
@@ -236,28 +199,28 @@ class TestBatch:
 
 class TestPinnedVertexLP:
     def test_shape_for_single_edge(self):
-        lp = build_lp_k(family("path", 2), 0)
-        assert lp.num_vars == 3  # x_0, x_1, y
-        relations = [rel for _, rel, _ in lp.constraints]
-        assert relations.count(LESS_EQ) == 2 and relations.count(EQUAL) == 1
-        assert lp.bounds[0] == (1.0, 1.0)
-        sol = simplex_solve(lp)
-        assert sol.objective == pytest.approx(2.0, abs=1e-9)
+        objective, constraints, bounds = build_lp_k(family("path", 2), 0)
+        assert len(objective) == 3  # x_0, x_1, y
+        relations = [rel for _, rel, _ in constraints]
+        assert relations.count("<=") == 2 and relations.count("=") == 1
+        assert bounds[0] == (1.0, 1.0)
+        assert solve_lp_k(family("path", 2), 0)[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_triangle_optimum(self):
-        assert solve_lp_k(family("complete", 3), 0).objective == pytest.approx(1.5, abs=1e-9)
+        assert solve_lp_k(family("complete", 3), 0)[0] == pytest.approx(1.5, abs=1e-9)
 
     def test_path3_center_optimum(self):
         # brute-force/grid oracle value: pinning the middle vertex forces 3/2,
         # strictly worse than the endpoint programs, which attain 1
-        got = solve_lp_k(family("path", 3), 1).objective
+        got = solve_lp_k(family("path", 3), 1)[0]
         assert got == pytest.approx(1.5, abs=1e-9)
         per_k = gamma_lp_details(family("path", 3))[1]
         assert per_k == pytest.approx([1.0, 1.5, 1.0], abs=1e-9)
 
 
 class TestDualAgainstPrimal:
-    """`gamma_lp_details` solves every k cold in dual form; these pin it to the primal."""
+    """`gamma_lp_details` solves every k cold in dual form; these pin it to the
+    primal program, solved by vertex enumeration or by scipy's HiGHS."""
 
     @pytest.mark.parametrize("kind,params,orbits", [
         ("path", (3,), [[0, 2], [1]]),
@@ -271,8 +234,7 @@ class TestDualAgainstPrimal:
         g = family(kind, *params)
         per_k = gamma_lp_details(g)[1]
         for orbit in orbits:
-            lp = build_lp_k(g, orbit[0])
-            expected = naive_lp(lp.objective, lp.constraints, lp.bounds)[0]
+            expected = naive_lp(*build_lp_k(g, orbit[0]))[0]
             for k in orbit:
                 assert per_k[k] == pytest.approx(expected, abs=1e-9)
 
@@ -280,8 +242,8 @@ class TestDualAgainstPrimal:
     def test_per_k_match_cold_solves(self, seed):
         g = gnp_connected(3 + seed % 6, 0.45, seed=50 + seed)
         best, per_k, best_k = gamma_lp_details(g)
-        cold = [solve_lp_k(g, k).objective for k in range(g.n)]
-        best_x = solve_lp_k(g, best_k).assignment[:g.n]
+        cold = [solve_lp_k(g, k)[0] for k in range(g.n)]
+        best_x = solve_lp_k(g, best_k)[1][:g.n]
         assert per_k == pytest.approx(cold, abs=1e-9)
         assert best == per_k[best_k] <= min(per_k) + 1e-12
         # the first minimiser, ties going to the smaller vertex
@@ -295,20 +257,17 @@ class TestDualAgainstPrimal:
         # without rebuilding the tableau drifted here by 2.4e-9
         g = gnm_connected(40, 100, seed=20240809)
         per_k = gamma_lp_details(g)[1]
-        cold = [solve_lp_k(g, k).objective for k in range(g.n)]
+        cold = [solve_lp_k(g, k)[0] for k in range(g.n)]
         assert per_k == pytest.approx(cold, abs=1e-9)
 
     @pytest.mark.parametrize("g", [family("path", 2), family("petersen"),
                                    gnp_connected(7, 0.4, seed=3)],
                              ids=["path2", "petersen", "gnp7"])
     def test_one_simplex_solve_per_program(self, monkeypatch, g):
-        # one dual objective per pinned vertex, all in one batch call, and
-        # no program solved on its own
+        # one dual objective per pinned vertex, all in one batch call
         batches = counted(monkeypatch, lp_module, "simplex_solve_many")
-        solves = counted(monkeypatch, lp_module, "simplex_solve")
         gamma_lp_details(g)
-        assert len(batches) == 1 and len(batches[0][1]) == g.n
-        assert solves == []
+        assert len(batches) == 1 and len(batches[0][3]) == g.n
 
 
 class TestLpOracleValue:
@@ -340,29 +299,21 @@ class TestLpOracleValue:
 
     def test_best_vector_is_feasible(self):
         g = family("cycle", 5)
-        x = solve_lp_k(g, gamma_lp_details(g)[2]).assignment[:g.n]
+        x = solve_lp_k(g, gamma_lp_details(g)[2])[1][:g.n]
         assert abs(float(np.sum(x))) <= 1e-8
         assert abs(np.abs(x).max() - 1.0) <= 1e-8
 
     def test_optimal_assignments_satisfy_all_constraints(self):
+        # the oracle's dual programs: every optimum is feasible and priced right
         for seed in range(4):
             g = gnp_connected(6, 0.5, seed=40 + seed)
-            for k in range(g.n):
-                lp = build_lp_k(g, k)
-                sol = simplex_solve(lp)
-                assert sol.status == OPTIMAL
-                x = sol.assignment
-                for coeffs, rel, rhs in lp.constraints:
-                    lhs = float(np.array(coeffs) @ x)
-                    if rel == LESS_EQ:
-                        assert lhs <= rhs + 1e-8
-                    elif rel == EQUAL:
-                        assert abs(lhs - rhs) <= 1e-8
-                    else:
-                        assert lhs >= rhs - 1e-8
-                for value, (lo, hi) in zip(x, lp.bounds):
-                    assert lo - 1e-8 <= value <= hi + 1e-8
-                assert abs(sol.objective - float(np.array(lp.objective) @ x)) <= 1e-8
+            a, rhs, bounds, objectives = lp_module._pinned_duals(g)
+            for c, (status, value, x, _) in zip(
+                    objectives, simplex_solve_many(a, rhs, bounds, objectives)):
+                assert status == OPTIMAL
+                assert (a @ x <= rhs + 1e-8).all()
+                assert ((bounds[:, 0] - 1e-8 <= x) & (x <= bounds[:, 1] + 1e-8)).all()
+                assert abs(value - float(c @ x)) <= 1e-8
 
     def test_disconnected_rejected(self, two_k2):
         with pytest.raises(DisconnectedGraph):
