@@ -9,12 +9,15 @@ that did not run appear as {"skipped": reason} rather than being omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import asdict
+
+import numpy as np
 
 from . import invariants, lp
 from .edgelist import MAX_VERTICES, read_edge_list, write_edge_list
@@ -65,6 +68,23 @@ def _fraction_doc(fr):
     return {"num": fr.numerator, "den": fr.denominator, "approx": float(fr)}
 
 
+def _shell_entries(cert):
+    """One _fraction_doc per witness shell, from the certificate's integers.
+
+    Every |shell_nums[s]| is at most witness_den, so below 2^53 the int64
+    quotient of the reduced pair is float(Fraction): both operands convert
+    to float64 exactly and IEEE division rounds correctly, as Python's int
+    true division does. From 2^53 on the arrays hold Python ints.
+    """
+    den = cert.witness_den
+    nums = np.array(cert.shell_nums, dtype=np.int64 if den < 2 ** 53 else object)
+    common = np.gcd(nums, den)
+    nums //= common
+    dens = den // common
+    return [{"num": a, "den": b, "approx": x}
+            for a, b, x in zip(nums.tolist(), dens.tolist(), (nums / dens).tolist())]
+
+
 def _vector_entry_json(d):
     """A _fraction_doc in the witness vector as json.dumps(doc, indent=2) prints it.
 
@@ -82,10 +102,8 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
                           with_cheeger=False):
     cert = invariants.gamma(g)
     connected = cert.connected
-    # the witness repeats one Fraction object per distance shell (two when
-    # disconnected): one entry dict per object, shared by its vertices
-    distinct = dict(zip(map(id, cert.witness), cert.witness))
-    entries = {key: _fraction_doc(w) for key, w in distinct.items()}
+    # one entry dict per witness shell, shared by the shell's vertices
+    entries = _shell_entries(cert)
     doc = {
         "command": command,
         "graph": {"n": g.n, "m": g.m, "connected": connected, "tree": is_tree(g)},
@@ -93,7 +111,7 @@ def build_result_document(g, *, command, tol, with_lp=False, with_spectral=False
         "attaining_vertex": cert.attaining_vertex,
         "witness": {
             "valid": cert.witness_valid,
-            "vector": list(map(entries.__getitem__, map(id, cert.witness))),
+            "vector": list(map(entries.__getitem__, cert.shells)),
             "residuals": {
                 "zero_sum": _fraction_doc(cert.residuals.zero_sum),
                 "sup_deviation": _fraction_doc(cert.residuals.sup_deviation),
@@ -215,16 +233,25 @@ def _emit(doc, as_json):
         print(render_text(doc))
         return
     # json.dumps(doc, indent=2), byte for byte: an indent sends json to its
-    # pure-Python encoder, so the per-vertex witness vector is left out and
-    # each distinct entry (by identity) is rendered once, at the indent of
-    # doc["witness"]["vector"], then spliced back in
+    # pure-Python encoder, so the per-vertex lists are left out and spliced
+    # back in. The transmission argmax (a skip dict when disconnected) prints
+    # one int per line; each distinct witness entry (by identity) is rendered
+    # once, at the indent of doc["witness"]["vector"]. Neither list is empty.
     vector = doc["witness"]["vector"]
+    argmax = doc["invariants"]["transmission_argmax"]
     shell = {**doc, "witness": {**doc["witness"], "vector": []}}
-    head, tail = json.dumps(shell, indent=2).split('"vector": []', 1)
+    if isinstance(argmax, list):
+        shell["invariants"] = {**doc["invariants"], "transmission_argmax": []}
+    text = json.dumps(shell, indent=2)
+    if isinstance(argmax, list):
+        ints = ",\n      ".join(map(str, argmax))
+        text = text.replace('"transmission_argmax": []',
+                            f'"transmission_argmax": [\n      {ints}\n    ]', 1)
+    head, tail = text.split('"vector": []', 1)
     distinct = dict(zip(map(id, vector), vector))
     rendered = {key: _vector_entry_json(e) for key, e in distinct.items()}
     items = ",".join(map(rendered.__getitem__, map(id, vector)))
-    print(f'{head}"vector": [{items}\n    ]{tail}')  # n >= 2, so never empty
+    print(f'{head}"vector": [{items}\n    ]{tail}')
 
 
 def _cmd_analyse(args):
@@ -370,9 +397,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _main_parser():
+    """main's parser, built on first use and kept: parse_args does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         return args.func(args)
     except TooLarge as exc:

@@ -256,7 +256,10 @@ def _levels(n, words, block, rank, diagonals, tail, tail_ptr):
     OR their remaining neighbours, listed in tail from tail_ptr on. Each
     block allocates its buffers once, and frontier and nxt swap every level;
     np.take runs with mode="clip" because under the default "raise" it
-    copies through a temporary instead of writing out directly.
+    copies through a temporary instead of writing out directly. unseen
+    holds the (vertex, source) pairs not yet reached, without the bits of
+    the last word past source n - 1, so a block ends with the level that
+    reaches its last pair (on a connected graph; otherwise at level n - 1).
     """
     for w0 in range(0, words, block):
         width = min(block, words - w0)
@@ -266,6 +269,8 @@ def _levels(n, words, block, rank, diagonals, tail, tail_ptr):
         frontier[first + src if rank is None else rank[first + src], src >> 6] = (
             np.uint64(1) << (src & 63))
         unseen = ~frontier
+        if len(src) % 64:  # no source sits in the last word's high bits
+            unseen[:, -1] &= np.uint64((1 << len(src) % 64) - 1)
         nxt = np.empty_like(frontier)
         spare = np.empty((len(diagonals[1]), width), np.uint64) if len(diagonals) > 1 else None
         gather = np.empty((len(tail), width), np.uint64)
@@ -283,10 +288,10 @@ def _levels(n, words, block, rank, diagonals, tail, tail_ptr):
                 else:
                     np.bitwise_or.reduceat(gather, tail_ptr, axis=0, out=nxt)
             nxt &= unseen
-            if not nxt.any():
-                break
             unseen ^= nxt
             yield first, level, nxt
+            if not unseen.any():
+                break
             frontier, nxt = nxt, frontier
 
 

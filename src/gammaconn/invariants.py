@@ -63,16 +63,40 @@ class WitnessResiduals:
 
 @dataclass(frozen=True)
 class GammaCertificate:
+    """The exact invariant, an optimal witness vector and its exact residuals.
+
+    The witness is kept in integers, per shell: vertex v lies in shell
+    shells[v], and each of the shell_sizes[s] vertices of shell s holds
+    shell_nums[s] / witness_den, which is 1 - s * n / witness_den. On a
+    connected graph shell s is the set of vertices at distance s from
+    attaining_vertex and witness_den is the maximum transmission; on a
+    disconnected one shell 0 is a smallest component and shell 1 the rest.
+    witness, the same vector as a tuple of Fractions with one shared object
+    per shell, is built on first access and kept: readers racing on that
+    access all get the first tuple stored.
+    """
+
     gamma: Fraction
     connected: bool
     attaining_vertex: int | None
-    witness: tuple[Fraction, ...]
+    shells: tuple[int, ...]
+    shell_sizes: tuple[int, ...]
+    shell_nums: tuple[int, ...]
+    witness_den: int
     witness_valid: bool
     residuals: WitnessResiduals
 
     @property
     def approx(self):
         return float(self.gamma)
+
+    @property
+    def witness(self) -> tuple[Fraction, ...]:
+        memo = self.__dict__
+        if "_witness" not in memo:
+            values = [Fraction(a, self.witness_den) for a in self.shell_nums]
+            memo.setdefault("_witness", tuple(map(values.__getitem__, self.shells)))
+        return memo["_witness"]
 
 
 def gamma(g: Graph) -> GammaCertificate:
@@ -87,52 +111,37 @@ def gamma(g: Graph) -> GammaCertificate:
 
 
 def _gamma(g):
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise TooSmall("no zero-sum vector of sup-norm 1 exists on fewer than 2 vertices")
-    if not is_connected(g):
-        comps = sorted(components(g), key=lambda c: (len(c), c[0]))
-        block = np.zeros(g.n, dtype=bool)
-        block[comps[0]] = True
-        k = len(comps[0])
-        one, rest = Fraction(1), Fraction(-k, g.n - k)
-        witness = tuple(one if block[v] else rest for v in range(g.n))
-        # the vector is constant per side and no edge crosses sides, so the
-        # residuals reduce to two-term arithmetic plus a crossing check
-        crossing = bool((block[g.edges[:, 0]] != block[g.edges[:, 1]]).any()) if g.m else False
-        gap = max(one - rest, _ZERO) if crossing else _ZERO
-        res = WitnessResiduals(
-            zero_sum=k * one + (g.n - k) * rest,
-            sup_deviation=max(one, abs(rest)) - 1,
-            edge_gap=gap,
-        )
-        valid = res.zero_sum == 0 and res.sup_deviation == 0 and res.edge_gap == 0
-        return GammaCertificate(_ZERO, False, None, witness, valid, res)
-
-    table = transmission_table(g)
-    n, d_max = g.n, table.d_max
-    value = Fraction(n, d_max)
-    u = table.argmax[0]
-    dist = _distances(g, u)
-    ecc = int(dist.max())
-    shell_sizes = np.bincount(dist, minlength=ecc + 1).tolist()
-    # shell r holds 1 - r*value = (d_max - r*n) / d_max; sums over these
-    # integer numerators stay exact without Fraction arithmetic per shell
-    shell_nums = [d_max - r * n for r in range(ecc + 1)]
-    shell_vals = [Fraction(a, d_max) for a in shell_nums]
-    witness = tuple(map(shell_vals.__getitem__, dist.tolist()))
-    # entries are constant per shell and an edge diff is |level gap| * value,
-    # so every residual is exact in O(eccentricity) integer operations
-    max_gap = int(np.abs(dist[g.edges[:, 0]] - dist[g.edges[:, 1]]).max()) if g.m else 0
+    connected = is_connected(g)
+    if connected:
+        table = transmission_table(g)
+        value, u, den = Fraction(n, table.d_max), table.argmax[0], table.d_max
+        shells = _distances(g, u)
+    else:
+        # over den = n - k, 1 on a smallest component (k vertices, shell 0)
+        # and -k / (n - k) on the rest (shell 1)
+        smallest = min(components(g), key=lambda c: (len(c), c[0]))
+        value, u, den = _ZERO, None, n - len(smallest)
+        shells = np.ones(n, dtype=np.int64)
+        shells[smallest] = 0
+    nums = [den - s * n for s in range(int(shells.max()) + 1)]
+    sizes = np.bincount(shells).tolist()
+    # entries are constant per shell and an edge diff is |shell gap| * n / den,
+    # so every residual is exact in O(shells) integer operations
+    gap = int(np.abs(shells[g.edges[:, 0]] - shells[g.edges[:, 1]]).max(initial=0))
     res = WitnessResiduals(
-        zero_sum=Fraction(sum(k * a for k, a in zip(shell_sizes, shell_nums)), d_max),
-        sup_deviation=Fraction(max(map(abs, shell_nums)) - d_max, d_max),
-        edge_gap=(max_gap - 1) * value,
+        zero_sum=Fraction(sum(k * a for k, a in zip(sizes, nums)), den),
+        sup_deviation=Fraction(max(map(abs, nums)) - den, den),
+        edge_gap=Fraction(gap * n, den) - value,
     )
-    # 2*tr(u) >= ecc(u)*n at a maximum-transmission vertex keeps every shell
-    # value within [-1, 1], so the witness is valid by construction; the
-    # flag reports the exact check instead of assuming it
+    # on a connected graph 2*tr(u) >= ecc(u)*n at a maximum-transmission
+    # vertex keeps every shell value within [-1, 1], so the witness is valid
+    # by construction; the flag reports the exact check instead of assuming it
     valid = res.zero_sum == 0 and res.sup_deviation == 0 and res.edge_gap == 0
-    return GammaCertificate(value, True, int(u), witness, valid, res)
+    return GammaCertificate(value, connected, u, tuple(shells.tolist()), tuple(sizes),
+                            tuple(nums), den, valid, res)
 
 
 def gamma_objective(g: Graph, x) -> float | Fraction:
@@ -152,7 +161,9 @@ def gamma_objective(g: Graph, x) -> float | Fraction:
         raise InfeasibleVector(f"vector length {len(x)} != vertex count {g.n}")
     vals = list(x)
     u, v = g.edges[:, 0], g.edges[:, 1]
-    if all(isinstance(w, numbers.Rational) for w in vals):
+    # the type check, like the rational work below, runs once per distinct
+    # type or object rather than once per entry
+    if all(issubclass(t, numbers.Rational) for t in set(map(type, vals))):
         nums, den = _over_common_denominator(vals)
         # checked on Python ints, before any fixed-width array exists
         total, sup = sum(nums), max(map(abs, nums))
@@ -174,13 +185,23 @@ def gamma_objective(g: Graph, x) -> float | Fraction:
 
 
 def _over_common_denominator(vals):
-    """Integer numerators of rational entries over their least common denominator."""
-    den = math.lcm(*(int(w.denominator) for w in vals))
-    return [int(w.numerator) * (den // int(w.denominator)) for w in vals], den
+    """Integer numerators of rational entries over their least common denominator.
+
+    The lcm and the scaling run once per distinct entry object (a
+    certificate's witness shares one per shell); the numerators map back
+    per entry through C-level maps.
+    """
+    distinct = dict(zip(map(id, vals), vals))
+    den = math.lcm(*(int(w.denominator) for w in distinct.values()))
+    scaled = {key: int(w.numerator) * (den // int(w.denominator)) for key, w in distinct.items()}
+    return list(map(scaled.__getitem__, map(id, vals))), den
 
 
 def _squared_norm(vals) -> Fraction:
-    """Exact squared 2-norm of rational entries, summed in integers."""
+    """Exact squared 2-norm of rational entries, summed in integers.
+
+    The per-entry reference for bound_report's per-shell sum.
+    """
     nums, den = _over_common_denominator(vals)
     return Fraction(sum(k * k for k in nums), den * den)
 
@@ -540,9 +561,12 @@ def bound_report(g: Graph, tol: float = 1e-10, *,
         entries.append(_exact_entry(
             "l1_variation_upper", b_small_oracle(g), Fraction(m, 2) * gam, None))
 
-    # squared 2-norm of the witness vs n/(n-1); equality iff complete (exact)
+    # squared 2-norm of the witness vs n/(n-1); equality iff complete (exact),
+    # summed per shell in integers
+    norm = sum(k * a * a for k, a in zip(cert.shell_sizes, cert.shell_nums))
     entries.append(_exact_entry(
-        "witness_norm_lower", Fraction(n, n - 1), _squared_norm(cert.witness), complete))
+        "witness_norm_lower", Fraction(n, n - 1), Fraction(norm, cert.witness_den ** 2),
+        complete))
 
     # algebraic connectivity vs (m(n-1)/n) * invariant^2 (strict)
     try:

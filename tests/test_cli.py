@@ -2,6 +2,8 @@ import dataclasses
 import json
 import re
 import time
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -606,6 +608,72 @@ class TestEmit:
         self.check(capsys, g, "compute", flags)
         if graph.is_connected(g):  # verify refuses disconnected graphs
             self.check(capsys, g, "verify", flags)
+
+
+    @pytest.mark.parametrize("g", [
+        family("path", 999),
+        random_tree(300, seed=5),
+        family("cycle", 101),
+        family("torus", 6, 7),
+        family("complete", 2),
+    ], ids=["path999", "tree300", "cycle101", "torus6x7", "k2"])
+    def test_many_shells_and_maximisers(self, capsys, g):
+        self.check(capsys, g, "compute", {})
+        argmax = build_result_document(g, command="compute", tol=1e-9)["invariants"][
+            "transmission_argmax"]
+        if invariants.is_transmission_regular(g):  # torus6x7 and k2: every vertex
+            assert argmax == list(range(g.n))
+
+
+class TestShellEntries:
+    """The witness entries come from the certificate's integers, not from Fractions."""
+
+    @pytest.mark.parametrize("command,g", [
+        ("compute", family("path", 999)),
+        ("verify", family("path", 200)),
+    ], ids=["compute-path999", "verify-path200"])
+    def test_document_builds_few_fractions(self, monkeypatch, command, g):
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(invariants, "Fraction", Counted)
+        doc = build_result_document(g, command=command, tol=1e-9)
+        assert doc["witness"]["valid"] is True
+        # one per vertex shell (999 and 200 here) if the witness were built
+        assert len(made) <= 20
+
+    @pytest.mark.parametrize("den", [7, 2 ** 53 - 1, 2 ** 53, 3 ** 40, 2 ** 62 + 1])
+    def test_entries_equal_fraction_docs(self, den):
+        rng = np.random.default_rng(den % 1000)
+        nums = [den, -den, 0, 1, -1, den - 1] + [
+            int(rng.integers(-(2 ** 62), 2 ** 62)) % (2 * den + 1) - den for _ in range(200)]
+        cert = types.SimpleNamespace(shell_nums=tuple(nums), witness_den=den)
+        expected = [cli._fraction_doc(Fraction(a, den)) for a in nums]
+        got = cli._shell_entries(cert)
+        assert got == expected
+        assert [tuple(map(type, e.values())) for e in got] == [(int, int, float)] * len(nums)
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k3.txt"
+        write_edge_list(family("complete", 3), path)
+        cli._main_parser.cache_clear()
+        builds = counted(monkeypatch, cli, "build_parser")
+        code, flagged, _ = run_cli(capsys, "--json", "--tol", "1e-3", "compute", "--lp", str(path))
+        assert code == 0 and json.loads(flagged)["oracle"]["agrees"] is True
+        with pytest.raises(SystemExit):
+            main(["--tol", "nan", "compute", str(path)])
+        capsys.readouterr()
+        # nothing of the earlier calls' flags carries over
+        plain = json.loads(run_cli(capsys, "--json", "compute", str(path))[1])
+        assert "skipped" in plain["oracle"] and "skipped" in plain["invariants"]["cheeger"]
+        assert len(builds) == 1
+        assert cli.build_parser() is not cli.build_parser()
 
 
 def _rendered_doc(run):

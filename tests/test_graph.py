@@ -311,6 +311,23 @@ class TestAllSourcesKernel:
             monkeypatch.setattr(graph, "_SWEEP_WORDS", sweep_words)
         assert_all_sources_match_oracle(g)
 
+    @pytest.mark.parametrize("sweep_words", [None, 1, 256, 2**62],
+                             ids=["default", "all-swept", "mixed", "all-tail"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("kind", ["cycle", "complete"])
+    def test_blocks_end_at_their_last_level(self, monkeypatch, kind, n, sweep_words):
+        # a block stops once every (vertex, source) pair is reached, so the
+        # sources past n - 1 in the last word must not count as unreached
+        if sweep_words is not None:
+            monkeypatch.setattr(graph, "_SWEEP_WORDS", sweep_words)
+        g = family(kind, n)
+        assert_all_sources_match_oracle(g)
+        diameter = n // 2 if kind == "cycle" else 1  # every source's eccentricity
+        blocks = {}
+        for first, level, _ in graph._all_sources_levels(g)[1]:
+            blocks.setdefault(first, []).append(level)
+        assert list(blocks.values()) == [list(range(1, diameter + 1))] * len(blocks)
+
     def test_working_memory_below_one_gather(self):
         # one level's (B, 2m) uint64 gather of every vertex's neighbour
         # words, at this graph's block width B = 32, is 5.12 MB

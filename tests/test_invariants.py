@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,9 +39,11 @@ from gammaconn.invariants import (
 from gammaconn.random_graphs import gnm_connected, gnp, gnp_connected, gnp_disconnected, random_tree
 
 from conftest import (
+    INF,
     edge_list,
     family,
     naive_cheeger,
+    naive_distances,
     naive_gamma,
     naive_objective,
     small_family_corpus,
@@ -107,6 +111,53 @@ class TestGamma:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             gamma(from_edge_list(1, []))
+
+    def test_witness_equals_floyd_warshall_shells(self):
+        graphs = [generate(spec) for spec in small_family_corpus()]
+        rng = np.random.default_rng(20240806)
+        graphs += [gnp_connected(int(rng.integers(2, 17)), 0.4, rng) for _ in range(100)]
+        graphs += [gnp_disconnected(int(rng.integers(4, 21)), 0.15, rng) for _ in range(30)]
+        for g in graphs:
+            d = naive_distances(g.n, edge_list(g))
+            rows = [sum(row) for row in d]
+            if max(rows) < INF:  # 1 - r * gamma on the shells of the first maximiser
+                value = Fraction(g.n, max(rows))
+                expected = tuple(1 - r * value for r in d[rows.index(max(rows))])
+            else:  # 1 on a smallest component, the first on ties; -k / (n - k) off it
+                comps = {tuple(v for v in range(g.n) if d[s][v] < INF) for s in range(g.n)}
+                small = min(comps, key=lambda c: (len(c), c[0]))
+                rest = Fraction(-len(small), g.n - len(small))
+                expected = tuple(Fraction(1) if v in small else rest for v in range(g.n))
+            cert = gamma(g)
+            assert cert.witness == expected
+            assert type(cert.witness) is tuple
+            assert all(type(w) is Fraction for w in cert.witness)
+            # one shared object per shell, built once
+            assert len(set(map(id, cert.witness))) == len(set(expected))
+            assert cert.witness is cert.witness
+
+    def test_racing_readers_get_one_witness(self):
+        cert = gamma(family("path", 3000))  # 3000 shells: a long first build
+        readers = 8
+        barrier = threading.Barrier(readers, timeout=30)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(cert.witness)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(readers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == readers and all(w is seen[0] for w in seen)
 
 
 class TestGammaObjective:
@@ -182,6 +233,30 @@ class TestObjectiveAgainstOracle:
             exact = all(isinstance(v, (int, Fraction, np.integer)) for v in x)
             assert type(got) is (Fraction if exact else float)
         return got
+
+    def test_shared_unshared_and_mixed_entries(self):
+        g = family("path", 4)
+        half = Fraction(1, 2)
+        feasible = [
+            [half, half, Fraction(-1), Fraction(0)],  # one object, twice
+            [Fraction(1, 2), Fraction(1, 2), Fraction(-1), Fraction(0)],
+            [1, Fraction(-1, 2), np.int64(0), Fraction(-1, 2)],
+        ]
+        values = [self.assert_agrees(g, x) for x in feasible]
+        assert values == [Fraction(3, 2), Fraction(3, 2), Fraction(3, 2)]
+        infeasible = [
+            ([half, half, half, Fraction(-1)], "entries sum to 0.5, not 0"),
+            ([Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(-1)],
+             "entries sum to 0.5, not 0"),
+            ([half, half, -half, -half], "sup norm is 0.5, not 1"),
+            ([1, np.int64(1), Fraction(-1, 2), 0], "entries sum to 1.5, not 0"),
+        ]
+        for x, message in infeasible:
+            with pytest.raises(InfeasibleVector) as want:
+                naive_objective(g.n, edge_list(g), x)
+            with pytest.raises(InfeasibleVector) as got:
+                gamma_objective(g, x)
+            assert str(got.value) == str(want.value) == message
 
     def test_witnesses_of_family_and_random_corpora(self):
         graphs = [generate(spec) for spec in small_family_corpus()]
@@ -505,6 +580,17 @@ class TestBoundReport:
         for g in graphs:
             witness = gamma(g).witness
             assert invariants._squared_norm(witness) == sum((w * w for w in witness), Fraction(0))
+
+    def test_witness_norm_entry_from_shells(self):
+        rng = np.random.default_rng(20240809)
+        graphs = [family("path", 40), family("torus", 4, 6), family("complete", 6),
+                  family("star", 7), family("complete_bipartite", 5, 3)]
+        graphs += [gnp_connected(int(rng.integers(2, 17)), 0.4, rng) for _ in range(20)]
+        for g in graphs:
+            norm = invariants._squared_norm(gamma(g).witness)
+            e = bound_report(g, cheeger_max_n=2).entry("witness_norm_lower")
+            assert e.rhs == float(norm)
+            assert e.holds and e.equality_attained == (norm == Fraction(g.n, g.n - 1))
 
     def test_complete_graph_spectral_equality(self, k5):
         rep = bound_report(k5)
