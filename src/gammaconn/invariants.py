@@ -44,9 +44,9 @@ _L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
 _CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 masks, int16 counts
 _CHEEGER_MAX_N = 24  # default size cap of the exact expansion (GAMMA_MAX_N in the CLI)
 #: Subsets per block of the exact expansion enumeration: the block's three
-#: int16 arrays and one float64 array (about 0.9 MB) stay in L2 cache. A power
-#: of two, so that whole blocks tile the high-half masks.
-_CHEEGER_BLOCK = 1 << 16
+#: int16 arrays and one float32 array, 10 bytes a mask (about 1.3 MB), stay in
+#: a 2 MB L2 cache. A power of two, so that whole blocks tile the high-half masks.
+_CHEEGER_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +195,6 @@ def _over_common_denominator(vals):
     den = math.lcm(*(int(w.denominator) for w in distinct.values()))
     scaled = {key: int(w.numerator) * (den // int(w.denominator)) for key, w in distinct.items()}
     return list(map(scaled.__getitem__, map(id, vals))), den
-
-
-def _squared_norm(vals) -> Fraction:
-    """Exact squared 2-norm of rational entries, summed in integers.
-
-    The per-entry reference for bound_report's per-shell sum.
-    """
-    nums, den = _over_common_denominator(vals)
-    return Fraction(sum(k * k for k in nums), den * den)
 
 
 def is_transmission_regular(g: Graph) -> bool:
@@ -378,9 +369,10 @@ def _exact_cheeger(g):
     rows = min(len(vol_b), max(1, _CHEEGER_BLOCK // cols))
     cut = np.empty((rows, cols), dtype=np.int16)
     denom, spare = np.empty_like(cut), np.empty_like(cut)
-    ratios = np.empty((rows, cols))
+    ratios = np.empty((rows, cols), dtype=np.float32)
     twice_m = np.int16(2 * g.m)
-    best, best_mask = math.inf, 0
+    best = value = math.inf
+    best_mask = 0
     # S = V, the last mask of the last block, is the only 0 / 0
     with np.errstate(invalid="ignore"):
         for b0 in range(0, len(vol_b), rows):
@@ -394,16 +386,22 @@ def _exact_cheeger(g):
             np.add(vol_a, vol_b[b, None], out=denom)
             np.subtract(twice_m, denom, out=spare)
             np.minimum(denom, spare, out=denom)
-            # float32 could misorder two quotients whose denominators reach m = 1128
-            np.divide(cut, denom, out=ratios, dtype=np.float64)
+            # Each quotient is cut / min(vol S, vol S-bar) <= 1 with a denominator
+            # <= m <= 48 * 47 / 2 = 1128, so two distinct ones differ by at
+            # least 1 / (1128 * 1127), over 6 float32 ulps in [0, 1], and equal
+            # ones round alike: float32 keeps their order and ties. The proof
+            # covers only such quotients; the l1 quotient cut n / (2|S|(n - |S|))
+            # can exceed 1 and needs its own bound before it shares this array.
+            np.divide(cut, denom, out=ratios, dtype=np.float32)
             if b0 + rows == len(vol_b):
                 ratios[-1, -1] = math.inf  # S = V is not a proper subset
             i = int(np.argmin(ratios))
             if ratios.flat[i] < best:
-                best = float(ratios.flat[i])
+                best = ratios.flat[i]
                 row, col = divmod(i, cols)
+                value = int(cut[row, col]) / int(denom[row, col])  # exact float64 readback
                 best_mask = (2 * col + 1) | int(b[row]) << h
-    return best, tuple(v for v in range(n) if best_mask >> v & 1)
+    return value, tuple(v for v in range(n) if best_mask >> v & 1)
 
 
 def _vol_and_boundary(deg, nbr):

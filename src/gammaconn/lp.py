@@ -10,7 +10,10 @@ round prices all of them with one batched product and updates every inverse
 with one batched rank-1 (eta) update, so the fixed cost of a step is paid
 once per round, not once per program. Each program takes the same steps as
 it would alone. Blocks of programs keep their (B, r, r) inverses within
-`_INVERSE_BYTES`.
+`_INVERSE_BYTES`, 1 MiB: the 40 inverses of gnm(40, 100), 41 rows each
+(538 KB), then run as one batch instead of two, which took its oracle from
+about 31 to 26 ms (2-core Xeon, one BLAS thread; 2 and 4 MiB were no
+faster), for about 0.9 MB more peak RSS.
 
 The batch drives the per-vertex minimax oracle, whose minimum over pinned
 vertices reproduces the invariant. Program k minimises the largest edge
@@ -41,7 +44,7 @@ UNBOUNDED = "unbounded"
 _TOL = 1e-9  # reduced costs and ratio-test entries this small count as zero
 # one block's (B, r, r) float64 basis inverses stay within this; each pivot
 # makes one more array of that size
-_INVERSE_BYTES = 512 << 10
+_INVERSE_BYTES = 1 << 20
 
 
 def _pivot(binv, basis, column, who, row, col):

@@ -200,6 +200,16 @@ def naive_objective(n, edges, x):
     return best
 
 
+def naive_squared_norm(vals):
+    """Exact squared 2-norm of rational entries, one integer square per entry.
+
+    Every entry is scaled to the entries' least common denominator; the
+    per-entry reference for bound_report's per-shell sum.
+    """
+    den = math.lcm(*(w.denominator for w in vals))
+    return Fraction(sum((w.numerator * (den // w.denominator)) ** 2 for w in vals), den * den)
+
+
 def naive_parse_edge_list(text):
     """The edge-list reader as a per-line loop, with a set for duplicates.
 

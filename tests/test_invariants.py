@@ -46,6 +46,7 @@ from conftest import (
     naive_distances,
     naive_gamma,
     naive_objective,
+    naive_squared_norm,
     small_family_corpus,
 )
 
@@ -551,6 +552,25 @@ class TestCheeger:
         width = invariants._CHEEGER_WIDTH
         assert width * (width - 1) < 2 ** 15
 
+    def test_float32_orders_every_quotient_at_the_width_cap(self):
+        # every quotient the scan compares is cut / min(vol S, vol S-bar),
+        # a p / q in [0, 1] with q <= m <= width (width - 1) / 2; the scan
+        # ranks them in float32, which must keep their exact order and ties
+        width = invariants._CHEEGER_WIDTH
+        top = width * (width - 1) // 2
+        p = np.concatenate([np.arange(k + 1) for k in range(1, top + 1)])
+        q = np.concatenate([np.full(k + 1, k) for k in range(1, top + 1)])
+        reduced = np.gcd(p, q) == 1
+        p, q = p[reduced], q[reduced]
+        order = np.argsort(p / q, kind="stable")
+        p, q = p[order], q[order]
+        # exact order, by cross-multiplication in int64
+        assert (p[:-1] * q[1:] < p[1:] * q[:-1]).all()
+        ratios = np.divide(p.astype(np.int16), q.astype(np.int16), dtype=np.float32)
+        assert (np.diff(ratios) > 0).all()
+        doubled = np.divide((2 * p).astype(np.int16), (2 * q).astype(np.int16), dtype=np.float32)
+        assert (doubled == ratios).all()
+
     def test_torus_4x6_pinned(self):
         val, subset = cheeger_constant(family("torus", 4, 6))
         assert val == 1 / 6
@@ -579,7 +599,7 @@ class TestBoundReport:
         graphs += [gnp_disconnected(int(rng.integers(4, 21)), 0.15, rng) for _ in range(20)]
         for g in graphs:
             witness = gamma(g).witness
-            assert invariants._squared_norm(witness) == sum((w * w for w in witness), Fraction(0))
+            assert naive_squared_norm(witness) == sum((w * w for w in witness), Fraction(0))
 
     def test_witness_norm_entry_from_shells(self):
         rng = np.random.default_rng(20240809)
@@ -587,7 +607,7 @@ class TestBoundReport:
                   family("star", 7), family("complete_bipartite", 5, 3)]
         graphs += [gnp_connected(int(rng.integers(2, 17)), 0.4, rng) for _ in range(20)]
         for g in graphs:
-            norm = invariants._squared_norm(gamma(g).witness)
+            norm = naive_squared_norm(gamma(g).witness)
             e = bound_report(g, cheeger_max_n=2).entry("witness_norm_lower")
             assert e.rhs == float(norm)
             assert e.holds and e.equality_attained == (norm == Fraction(g.n, g.n - 1))

@@ -196,6 +196,19 @@ class TestBatch:
         assert per_k == pytest.approx(want, abs=1e-12)
         assert best_k == want_k
 
+    def test_default_budget_runs_gnm_40_100_as_one_batch(self, monkeypatch):
+        # 40 inverses of r = 41 rows, 538 KB, fit the default budget
+        g = gnm_connected(40, 100, seed=20240809)
+        blocks = counted(monkeypatch, lp_module, "_run_phase")
+        _, per_k, best_k = gamma_lp_details(g)
+        assert [len(args[0]) for args in blocks] == [g.n]
+        r = g.n + 1
+        monkeypatch.setattr(lp_module, "_INVERSE_BYTES", 20 * 8 * r * r)
+        _, split, split_k = gamma_lp_details(g)
+        assert [len(args[0]) for args in blocks[1:]] == [20, 20]
+        # the programs are independent: each takes the same steps in either batch
+        assert per_k == split and best_k == split_k
+
 
 class TestPinnedVertexLP:
     def test_shape_for_single_edge(self):
