@@ -46,7 +46,7 @@ class NoConvergence(GammaConnError):
 
 
 class IterationCap(GammaConnError):
-    """The simplex hit its step cap; steps are pivots plus bound flips.
+    """The simplex hit its step cap; each step is one pivot.
 
     A guard: not expected with Bland's rule.
     """

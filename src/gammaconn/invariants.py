@@ -389,9 +389,9 @@ def _exact_cheeger(g):
             # Each quotient is cut / min(vol S, vol S-bar) <= 1 with a denominator
             # <= m <= 48 * 47 / 2 = 1128, so two distinct ones differ by at
             # least 1 / (1128 * 1127), over 6 float32 ulps in [0, 1], and equal
-            # ones round alike: float32 keeps their order and ties. The proof
-            # covers only such quotients; the l1 quotient cut n / (2|S|(n - |S|))
-            # can exceed 1 and needs its own bound before it shares this array.
+            # ones round alike: float32 keeps their order and ties. So it does for
+            # the l1 quotient cut / (|S|(n - |S|)), b_small_oracle's without n / 2:
+            # each cut edge joins S to S-bar, so it is <= 1, with denominator <= 576.
             np.divide(cut, denom, out=ratios, dtype=np.float32)
             if b0 + rows == len(vol_b):
                 ratios[-1, -1] = math.inf  # S = V is not a proper subset

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from gammaconn import (
     UNREACHABLE,
@@ -339,6 +341,19 @@ class TestAllSourcesKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 32 * 2 * g.m
+
+    @pytest.mark.parametrize("g", [gnm_connected(2000, 10000, seed=5),
+                                   preferential_attachment(2000, 3, seed=4)],
+                             ids=["gnm2000", "preferential2000"])
+    def test_default_regime_matches_scipy(self, g):
+        # at size, under the default block and sweep settings, against
+        # scipy's unweighted all-pairs search (the preferential graph's
+        # largest degree is 137, so its hubs reach the reduceat tail)
+        u, v = g.edges[:, 0], g.edges[:, 1]
+        adjacency = csr_matrix((np.ones(g.m), (u, v)), shape=(g.n, g.n))
+        want = shortest_path(adjacency, directed=False, unweighted=True).astype(np.int64)
+        assert np.array_equal(graph._kernel_transmissions(g).tr, want.sum(axis=1))
+        assert np.array_equal(distance_matrix(g), want)
 
 
 class TestPendantsAndTrees:

@@ -26,11 +26,23 @@ from conftest import (  # noqa: F401
 INF = math.inf
 
 
+def boxed(a, rhs, bounds, objectives):
+    """`simplex_solve_many` on a x <= rhs, lo <= x <= hi, with each finite hi as a row.
+
+    `bounds` holds one (lo, hi) per variable; x_j <= hi_j joins the rows and
+    lo goes to the solver, which keeps only lower bounds.
+    """
+    lo, hi = np.array(bounds, dtype=float).reshape(-1, 2).T
+    capped = np.flatnonzero(hi < INF)
+    rows = np.vstack([np.reshape(np.asarray(a, dtype=float), (-1, len(lo))),
+                      np.eye(len(lo))[capped]])
+    return simplex_solve_many(rows, np.concatenate([np.asarray(rhs, dtype=float), hi[capped]]),
+                              lo, objectives)
+
+
 def solve(a, rhs, bounds, objective):
     """One program: the batch of one, as (status, value, x, steps)."""
-    n = len(objective)
-    return simplex_solve_many(np.reshape(np.asarray(a, dtype=float), (-1, n)), rhs, bounds,
-                              [objective])[0]
+    return boxed(a, rhs, bounds, [objective])[0]
 
 
 class TestSimplex:
@@ -59,9 +71,6 @@ class TestSimplex:
         # x >= 0 starts at 0, where x <= -1 leaves the slack at -1: no phase one
         with pytest.raises(ValueError, match="slack basis is infeasible"):
             solve([[1.0]], [-1.0], [(0.0, INF)], [1.0])
-        # a free variable starts at 0 and an upper-bounded one at its bound
-        with pytest.raises(ValueError, match="slack basis is infeasible"):
-            solve([[1.0, 1.0]], [2.0], [(-INF, INF), (-INF, 3.0)], [1.0, 1.0])
 
     def test_solution_satisfies_constraints(self):
         a = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
@@ -83,18 +92,18 @@ class TestSimplex:
         assert first[:2] == second[:2] and first[3] == second[3]
         assert first[2].tolist() == second[2].tolist()
 
-    def test_bound_flip_counts_as_a_step(self, monkeypatch):
-        # x0 enters first and reaches its own upper bound before the row
-        # binds (a flip, no pivot); x1 then enters and pivots the slack out
+    def test_each_step_is_one_pivot(self, monkeypatch):
+        # x0 enters first and pivots out the slack of its row x0 <= 1; x1
+        # then enters and pivots out the slack of x0 + x1 <= 5
         pivots = []
         pivot = lp_module._pivot
         monkeypatch.setattr(lp_module, "_pivot",
-                            lambda *args: pivots.append(args[2:]) or pivot(*args))
+                            lambda *args: pivots.append(args[3:]) or pivot(*args))
         status, _, x, steps = solve([[1.0, 1.0]], [5.0], [(0.0, 1.0), (0.0, 10.0)],
                                     [-1.0, -1.0])
         assert status == OPTIMAL
         assert x.tolist() == pytest.approx([1.0, 4.0], abs=1e-12)
-        assert len(pivots) == 1 and steps == 2
+        assert len(pivots) == 2 and steps == 2
 
     def test_beale_cycling_example(self):
         # Beale (1955): degenerate, and cycles under the largest-coefficient
@@ -160,7 +169,7 @@ class TestBatch:
             a, rhs, bounds, objective = random_boxed_lp(rng)
             objectives = [objective] + [rng.integers(-3, 4, len(objective)).astype(float)
                                         for _ in range(4)]
-            batch = simplex_solve_many(a, rhs, bounds, objectives)
+            batch = boxed(a, rhs, bounds, objectives)
             assert len(batch) == len(objectives)
             for c, got in zip(objectives, batch):
                 alone = solve(a, rhs, bounds, c)
@@ -172,7 +181,7 @@ class TestBatch:
         # min x0 - x1 is -2 (x1 = 4, x0 = 2) and min x1 is 0
         a, rhs, bounds = [[-1.0, 1.0]], [2.0], [(0.0, INF), (0.0, 4.0)]
         objectives = [(1.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]
-        batch = simplex_solve_many(a, rhs, bounds, objectives)
+        batch = boxed(a, rhs, bounds, objectives)
         assert [sol[0] for sol in batch] == [OPTIMAL, UNBOUNDED, OPTIMAL]
         assert batch[0][1] == pytest.approx(-2.0, abs=1e-12)
         assert batch[1][1] is None and batch[1][2] is None
@@ -320,12 +329,12 @@ class TestLpOracleValue:
         # the oracle's dual programs: every optimum is feasible and priced right
         for seed in range(4):
             g = gnp_connected(6, 0.5, seed=40 + seed)
-            a, rhs, bounds, objectives = lp_module._pinned_duals(g)
+            a, rhs, lo, objectives = lp_module._pinned_duals(g)
             for c, (status, value, x, _) in zip(
-                    objectives, simplex_solve_many(a, rhs, bounds, objectives)):
+                    objectives, simplex_solve_many(a, rhs, lo, objectives)):
                 assert status == OPTIMAL
                 assert (a @ x <= rhs + 1e-8).all()
-                assert ((bounds[:, 0] - 1e-8 <= x) & (x <= bounds[:, 1] + 1e-8)).all()
+                assert (lo - 1e-8 <= x).all()
                 assert abs(value - float(c @ x)) <= 1e-8
 
     def test_disconnected_rejected(self, two_k2):
