@@ -43,9 +43,9 @@ _POWER_ITERATIONS = 100_000  # distance_spectral_radius raises NoConvergence pas
 _L1_MAX_N = 12  # b_small_oracle enumerates all 2^n vertex subsets
 _CHEEGER_WIDTH = 48  # exact expansion's n limit, whatever its max_n: int64 masks, int16 counts
 _CHEEGER_MAX_N = 24  # default size cap of the exact expansion (GAMMA_MAX_N in the CLI)
-#: Subsets per block of the exact expansion enumeration: the block's three
-#: int16 arrays and one float32 array, 10 bytes a mask (about 1.3 MB), stay in
-#: a 2 MB L2 cache. A power of two, so that whole blocks tile the high-half masks.
+#: Subsets per block of the exact expansion enumeration: the block's two int16
+#: arrays, 4 bytes a mask (512 KB), stay well inside a 2 MB L2 cache. A power
+#: of two, so that whole blocks tile the high-half masks.
 _CHEEGER_BLOCK = 1 << 17
 
 
@@ -354,10 +354,14 @@ def _exact_cheeger(g):
 
     The boundary of S is bd_A[a] + bd_B[b] - 2 cross(b, a), where bd = vol - 2 inner
     on each half and cross counts the edges between a and b. Per block of
-    _CHEEGER_BLOCK masks (from n = 33 on, one b and its 2^(h-1) masks), cross
-    doubles over the low vertices' neighbours in b. Masks are visited in
-    ascending order and only a strictly smaller quotient replaces the best, so
-    ties go to the first minimising mask.
+    _CHEEGER_BLOCK masks (rows b of all 2^(h-1) masks a; one row a block from
+    n = 35 on), cross doubles over the low vertices' neighbours in b. In a row
+    the masks a of one volume share a denominator, so with the columns sorted
+    by volume one reduceat gives each class its least boundary, and only these
+    minima are divided. Every degree is >= 1, so S = V is alone in its row's
+    last class. Blocks and rows go in ascending order, only a strictly smaller
+    quotient replaces the best, and the winning row is rescanned in bitmask
+    order, so ties go to the first minimising mask.
     """
     n, h = g.n, (g.n + 1) // 2
     nbr = _neighbour_masks(g)
@@ -365,15 +369,16 @@ def _exact_cheeger(g):
     vol_a, bd_a = (t[1::2] for t in _vol_and_boundary(deg[:h], nbr[:h] & ((1 << h) - 1)))
     vol_b, bd_b = _vol_and_boundary(deg[h:], nbr[h:] >> h)
     to_high = nbr[:h] >> h
+    perm = np.argsort(vol_a, kind="stable")
+    classes, starts = np.unique(vol_a[perm], return_index=True)  # each class's first column
+    bd_perm = bd_a[perm]
     cols = len(vol_a)
     rows = min(len(vol_b), max(1, _CHEEGER_BLOCK // cols))
     cut = np.empty((rows, cols), dtype=np.int16)
-    denom, spare = np.empty_like(cut), np.empty_like(cut)
-    ratios = np.empty((rows, cols), dtype=np.float32)
+    permuted = np.empty_like(cut)
     twice_m = np.int16(2 * g.m)
     best = value = math.inf
     best_mask = 0
-    # S = V, the last mask of the last block, is the only 0 / 0
     with np.errstate(invalid="ignore"):
         for b0 in range(0, len(vol_b), rows):
             b = np.arange(b0, b0 + rows)
@@ -382,25 +387,29 @@ def _exact_cheeger(g):
             for k in range(1, h):
                 np.subtract(cut[:, :1 << k - 1], twice_cross[:, k, None],
                             out=cut[:, 1 << k - 1:1 << k])
-            cut += bd_a
-            np.add(vol_a, vol_b[b, None], out=denom)
-            np.subtract(twice_m, denom, out=spare)
-            np.minimum(denom, spare, out=denom)
+            np.take(cut, perm, axis=1, out=permuted, mode="clip")  # "raise" copies via a temporary
+            permuted += bd_perm
+            least = np.minimum.reduceat(permuted, starts, axis=1)
+            vol = classes + vol_b[b, None]
             # Each quotient is cut / min(vol S, vol S-bar) <= 1 with a denominator
             # <= m <= 48 * 47 / 2 = 1128, so two distinct ones differ by at
             # least 1 / (1128 * 1127), over 6 float32 ulps in [0, 1], and equal
             # ones round alike: float32 keeps their order and ties. So it does for
             # the l1 quotient cut / (|S|(n - |S|)), b_small_oracle's without n / 2:
             # each cut edge joins S to S-bar, so it is <= 1, with denominator <= 576.
-            np.divide(cut, denom, out=ratios, dtype=np.float32)
+            ratios = np.divide(least, np.minimum(vol, twice_m - vol), dtype=np.float32)
             if b0 + rows == len(vol_b):
-                ratios[-1, -1] = math.inf  # S = V is not a proper subset
+                ratios[-1, -1] = math.inf  # S = V, alone in the last class, is the only 0 / 0
             i = int(np.argmin(ratios))
             if ratios.flat[i] < best:
                 best = ratios.flat[i]
-                row, col = divmod(i, cols)
-                value = int(cut[row, col]) / int(denom[row, col])  # exact float64 readback
-                best_mask = (2 * col + 1) | int(b[row]) << h
+                r = i // len(classes)
+                line, vol = cut[r] + bd_a, vol_a + vol_b[b0 + r]
+                denom = np.minimum(vol, twice_m - vol)
+                # the row's first mask at the minimum; S = V's nan equals nothing
+                col = int(np.argmax(np.divide(line, denom, dtype=np.float32) == best))
+                value = int(line[col]) / int(denom[col])  # exact float64 readback
+                best_mask = (2 * col + 1) | (b0 + r) << h
     return value, tuple(v for v in range(n) if best_mask >> v & 1)
 
 

@@ -5,15 +5,17 @@ solves a batch of programs a x <= rhs, x >= lo (lo = -inf for a free
 variable) that share rows and bounds and differ only in their objective.
 No variable has an upper bound, so every step is one pivot. Every program
 must start feasible from the slack basis, so there is no phase one. The
-programs run in lockstep: each keeps its own basis inverse, basis and
-values, and every round prices all of them with one batched product and
-updates every inverse with one batched rank-1 (eta) update, so the fixed
-cost of a step is paid once per round, not once per program. Each program
-takes the same steps as it would alone. Blocks of programs keep their
+programs run in lockstep: each keeps its own basis inverse, basis, basic
+values and basic costs, and every round prices all of them with one batched
+product and updates every inverse with one batched rank-1 (eta) update, so
+the fixed cost of a step is paid once per round, not once per program. Each
+program takes the same steps as it would alone. Blocks of programs keep their
 (B, r, r) inverses within `_INVERSE_BYTES`, 1 MiB: the 40 inverses of
 gnm(40, 100), 41 rows each (538 KB), then run as one batch instead of two,
 which took its oracle from about 31 to 26 ms (2-core Xeon, one BLAS thread;
-2 and 4 MiB were no faster), for about 0.9 MB more peak RSS.
+2 and 4 MiB were no faster), for about 0.9 MB more peak RSS. Keeping only
+the basic values and costs, instead of gathering and scattering every
+variable's value each round, took the batch from about 22 to 20 ms there.
 
 The batch drives the per-vertex minimax oracle, whose minimum over pinned
 vertices reproduces the invariant. Program k minimises the largest edge
@@ -64,46 +66,52 @@ def _pivot(binv, basis, column, row, col):
     basis[rows, row] = col
 
 
-def _run_phase(binv, basis, x, cost, full, lo, cap):
+def _run_phase(binv, basis, xb, cost, full, lo, cap):
     """Bland steps, in lockstep, on a batch of programs that share rows and bounds.
 
-    `full` holds the rows [A | I]. Program i has the basis
-    inverse binv[i], the basis basis[i], every variable's value x[i]
-    (nonbasic ones at their lower bound, free ones at 0) and its own costs
-    cost[i]. One round prices every live program with one batched product
-    (reduced costs cost - c_B B^-1 full), takes its first improving index,
-    and pivots it in against the first basic variable to reach its lower
-    bound. Every live program pivots once per round, so a program's count is
-    the round it finishes in. The four arrays are worked on in place with
-    the live programs packed at the front. Returns (status, steps, x) per
-    program; status is OPTIMAL or UNBOUNDED.
+    `full` holds the rows [A | I]. Program i has the basis inverse binv[i],
+    the basis basis[i], the basic values xb[i] and its own costs cost[i];
+    only basic values and costs are kept, since a nonbasic variable rests at
+    its lower bound, or at 0 if free (a free variable never leaves once in:
+    its room is infinite). One round prices every live program with one
+    batched product (reduced costs cost - c_B B^-1 full), takes its first
+    improving index, and pivots it in against the first basic variable to
+    reach its lower bound. Every live program pivots once per round, so a
+    program's count is the round it finishes in. The arrays are worked on in
+    place with the live programs packed at the front. Returns (status,
+    steps, x) per program, x over every variable; status is OPTIMAL or
+    UNBOUNDED.
     """
     steps = 0
-    status = np.full(len(x), OPTIMAL, dtype=object)
-    finished = np.zeros(len(x), dtype=int)
-    final = np.empty_like(x)
-    live = np.arange(len(x))
-    nonbasic = np.ones(x.shape, dtype=bool)
+    status = np.full(len(xb), OPTIMAL, dtype=object)
+    finished = np.zeros(len(xb), dtype=int)
+    free = lo == -math.inf
+    rest = np.where(free, 0.0, lo)  # each variable's nonbasic value
+    final = np.repeat(rest[None], len(xb), axis=0)
+    live = np.arange(len(xb))
+    nonbasic = np.ones(cost.shape, dtype=bool)
     nonbasic[live[:, None], basis] = False
-    b, bs, xs, c, nb = binv, basis, x, cost, nonbasic
+    b, bs, cb, c, nb = binv, basis, np.take_along_axis(cost, basis, axis=1), cost, nonbasic
     columns = np.ascontiguousarray(full.T)
 
     def retire(done, verdict):
-        nonlocal b, bs, xs, c, nb, live
+        nonlocal b, bs, xb, cb, c, nb, live
         ids = live[done]
-        status[ids], finished[ids], final[ids] = verdict, steps, xs[done]
+        status[ids], finished[ids] = verdict, steps
+        final[ids[:, None], bs[done]] = xb[done]
         keep = ~done
         size = len(live) - len(ids)
-        for array in (b, bs, xs, c, nb):
+        for array in (b, bs, xb, cb, c, nb):
             array[:size] = array[keep]
-        b, bs, xs, c, nb, live = b[:size], bs[:size], xs[:size], c[:size], nb[:size], live[keep]
+        b, bs, xb, cb, c, nb, live = (b[:size], bs[:size], xb[:size], cb[:size], c[:size],
+                                      nb[:size], live[keep])
         return keep
 
     while len(live):
         rows = np.arange(len(live))
-        reduced = c - np.matmul(c[rows[:, None], bs][:, None], b)[:, 0] @ full
+        reduced = c - np.matmul(cb[:, None], b)[:, 0] @ full
         # a variable at its lower bound can only rise; a free one moves either way
-        improving = (reduced < -_TOL) | ((reduced > _TOL) & (xs > lo))
+        improving = (reduced < -_TOL) | ((reduced > _TOL) & free)
         improving &= nb
         j = improving.argmax(axis=1)
         found = improving[rows, j]
@@ -115,7 +123,6 @@ def _run_phase(binv, basis, x, cost, full, lo, cap):
         sign = np.where(reduced[rows, j] < 0, 1.0, -1.0)
         column = np.matmul(b, columns[j][:, :, None])[:, :, 0]
         alpha = column * sign[:, None]  # basic values fall by theta * alpha
-        xb = xs[rows[:, None], bs]
         # the room each falling basic value has above its lower bound, over
         # alpha; other entries get inf (inf / 0 is inf, with no warning)
         room = np.where(alpha > _TOL, xb - lo[bs], math.inf)
@@ -126,12 +133,12 @@ def _run_phase(binv, basis, x, cost, full, lo, cap):
             # the others take this step in the next round, from the same state
             retire(unbounded, UNBOUNDED)
             continue
-        leave = np.where(ratio <= theta[:, None] + _TOL, bs, x.shape[1]).argmin(axis=1)
+        leave = np.where(ratio <= theta[:, None] + _TOL, bs, len(lo)).argmin(axis=1)
         delta = ratio[rows, leave]
-        xs[rows[:, None], bs] = xb - delta[:, None] * alpha
-        xs[rows, j] += sign * delta
+        xb -= delta[:, None] * alpha
+        xb[rows, leave] = rest[j] + sign * delta
+        cb[rows, leave] = c[rows, j]
         out = bs[rows, leave]
-        xs[rows, out] = lo[out]
         nb[rows, out], nb[rows, j] = True, False
         _pivot(b, bs, column, leave, j)
         steps += 1
@@ -164,7 +171,6 @@ def simplex_solve_many(a, rhs, lo, objectives):
         raise ValueError("the slack basis is infeasible: rhs - a @ start has a negative entry")
     width = n + m
     full = np.hstack([a, np.eye(m)])
-    x = np.concatenate([start, slack])[None]
     lo = np.concatenate([lo, np.zeros(m)])
     binv, basis = np.eye(m)[None], np.arange(n, width)[None]
 
@@ -176,7 +182,7 @@ def simplex_solve_many(a, rhs, lo, objectives):
         cost[:, :n] = part
         status, finished, xs = _run_phase(
             np.repeat(binv, len(part), axis=0), np.repeat(basis, len(part), axis=0),
-            np.repeat(x, len(part), axis=0), cost, full, lo, cap)
+            np.repeat(slack[None], len(part), axis=0), cost, full, lo, cap)
         for verdict, count, c, xi in zip(status, finished.tolist(), part, xs):
             if verdict == UNBOUNDED:
                 solutions.append((UNBOUNDED, None, None, count))

@@ -536,6 +536,26 @@ class TestCheeger:
             want, want_subset = naive_cheeger(g.n, edge_list(g))
             assert invariants._exact_cheeger(g) == (float(want), tuple(want_subset))
 
+    def test_irregular_volume_classes_at_n_15_and_16(self, monkeypatch):
+        # the scan ranks least boundaries per low-half volume class; regular
+        # graphs have one class per subset size, these 16 and 22 classes of
+        # many sizes each
+        broom = from_edge_list(16, [(v, v + 1) for v in range(5)] + [(5, v) for v in range(6, 16)])
+        for g in (random_tree(15, seed=6), broom):
+            want, want_subset = naive_cheeger(g.n, edge_list(g))
+            for block in (invariants._CHEEGER_BLOCK, 2, 64):
+                monkeypatch.setattr(invariants, "_CHEEGER_BLOCK", block)
+                assert invariants._exact_cheeger(g) == (float(want), tuple(want_subset))
+
+    def test_tie_across_volume_classes_keeps_the_first_mask(self):
+        # the first minimising mask, {0, 1, 3, 5, 7, 9}, shares its high-half
+        # row with a minimiser of smaller low-half volume, {0, 2, 3, 5, 7, 9}:
+        # the winning row is rescanned in bitmask order, not read off its class
+        g = gnp_connected(12, 0.35, seed=37)
+        want, want_subset = naive_cheeger(g.n, edge_list(g))
+        assert want_subset == [0, 1, 3, 5, 7, 9]
+        assert invariants._exact_cheeger(g) == (float(want), tuple(want_subset))
+
     def test_enumeration_memory_stays_small(self):
         g = family("torus", 4, 6)
         tracemalloc.start()

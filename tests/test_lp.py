@@ -62,6 +62,44 @@ class TestSimplex:
         assert status == OPTIMAL
         assert value == pytest.approx(-5.0, abs=1e-8)
 
+    def test_nonbasic_entries_rest_at_their_bound_or_zero(self, monkeypatch):
+        # test_free_variable_split's program: the free x enters and the slack
+        # leaves. Pricing reads a nonbasic value off its bound alone, so every
+        # entry outside the final basis must be its lower bound, or 0 if free.
+        bases, runs = [], []
+        pivot, run = lp_module._pivot, lp_module._run_phase
+        monkeypatch.setattr(lp_module, "_pivot",
+                            lambda *args: pivot(*args) or bases.append(args[1][0].copy()))
+        monkeypatch.setattr(lp_module, "_run_phase",
+                            lambda *args: runs.append((args[5], run(*args))) or runs[-1][1])
+        assert solve([[-1.0]], [5.0], [(-INF, INF)], [1.0])[0] == OPTIMAL
+        (lo, (_, _, final)), = runs
+        outside = np.setdiff1d(np.arange(len(lo)), bases[-1])
+        assert bases[-1].tolist() == [0] and outside.tolist() == [1]
+        assert final[0, outside].tolist() == np.where(lo == -INF, 0.0, lo)[outside].tolist()
+
+    @pytest.mark.parametrize("make", [lambda: family("torus", 4, 6),
+                                      lambda: gnm_connected(40, 100, seed=20240809)],
+                             ids=["torus46", "gnm40"])
+    def test_free_variable_never_leaves_once_entered(self, make, monkeypatch):
+        # mu, the pinned duals' one free variable, has infinite room above its
+        # bound, so once basic it stays: a nonbasic variable is free exactly
+        # when its lower bound is -inf
+        g = make()
+        a, rhs, lo, objectives = lp_module._pinned_duals(g)
+        (mu,) = np.flatnonzero(lo == -INF)
+        entries = []
+        pivot = lp_module._pivot
+
+        def watched(binv, basis, column, row, col):
+            assert (basis[np.arange(len(row)), row] != mu).all()
+            entries.append(int((col == mu).sum()))
+            pivot(binv, basis, column, row, col)
+
+        monkeypatch.setattr(lp_module, "_pivot", watched)
+        assert all(s[0] == OPTIMAL for s in simplex_solve_many(a, rhs, lo, objectives))
+        assert sum(entries) > 0
+
     def test_reflected_variable(self):
         # only an upper bound: minimize -x, x <= 7
         status, _, x, _ = solve([], [], [(-INF, 7.0)], [-1.0])
